@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success / verification passed, 1 verification failed (a
-mathematical counterexample), 2 input or usage error, 3 internal engine
-disagreement, 4 search budget exhausted.
+mathematical counterexample), 2 input or usage error, 3 internal error
+(engine disagreement, or an engine failure such as RuntimeError,
+RecursionError or MemoryError), 4 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -275,6 +276,9 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (RuntimeError, RecursionError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, mask_of, submasks, vertices_of
-from .homology import reduced_homology_from_faces
+from .homology import check_char, reduced_homology_from_faces
 from .monomial import check_exponents, support
 
 
@@ -160,10 +160,13 @@ def _takayama_facets_prime_power(n, prime_masks, k, sums, cos_mask, free_mask):
     return tuple(sorted(maximal, key=lambda m: (bin(m).count("1"), m)))
 
 
-@functools.lru_cache(maxsize=None)
+# typed caches, so that char=2.0 misses the entry of char=2 and still
+# reaches check_char
+@functools.lru_cache(maxsize=None, typed=True)
 def depth_via_takayama(ideal, char=0):
     """Depth of S/I as the least cohomological degree with a nonvanishing
     witness multidegree, searched over the finite exponent box."""
+    check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.n
@@ -240,6 +243,7 @@ def upper_koszul_complex(ideal, alpha):
 def betti_table(ideal, char=0):
     """Multigraded Betti numbers of S/I from reduced homology of the
     upper Koszul complexes over the lcm box."""
+    check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
     n = ideal.n
@@ -264,9 +268,10 @@ def betti_table(ideal, char=0):
     )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def depth_via_betti(ideal, char=0):
     """Depth via Auslander-Buchsbaum: n minus the projective dimension."""
+    check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.n
@@ -314,6 +319,7 @@ def _membership_test(ideal):
 def depth(ideal, engine="cross_check", char=0):
     """Depth of S/I with the chosen engine; ``cross_check`` runs both and
     raises EngineDisagreement when the values differ."""
+    check_char(char)
     if engine == "takayama":
         return depth_via_takayama(ideal, char)
     if engine == "betti":

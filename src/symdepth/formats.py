@@ -18,18 +18,29 @@ from .monomial import MonomialIdeal
 _TERM = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
+def _json_int(value, what):
+    """A JSON integer, rejecting floats, strings and booleans rather than
+    truncating or converting them."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ideal_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "variable count n")
         generators = data["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ideal JSON: {exc}") from exc
     if n < 1:
         raise ValueError("variable count must be >= 1")
+    if not isinstance(generators, list) or \
+            not all(isinstance(g, list) for g in generators):
+        raise ValueError("generators must be a list of exponent lists")
     return MonomialIdeal.from_generators(
-        (tuple(int(a) for a in g) for g in generators), n
+        (tuple(_json_int(a, "exponent") for a in g) for g in generators), n
     )
 
 
@@ -85,13 +96,13 @@ def complex_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], "vertex count n")
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex JSON: {exc}") from exc
     converted = []
     for facet in facets:
-        vertices = [int(v) - 1 for v in facet]
+        vertices = [_json_int(v, "vertex") - 1 for v in facet]
         if any(v < 0 or v >= n for v in vertices):
             raise ValueError(f"facet {facet} has a vertex outside 1..{n}")
         converted.append(vertices)

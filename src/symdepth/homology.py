@@ -7,7 +7,18 @@ rationals (characteristic 0, the default) or over a prime field GF(p).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+
+def check_char(char):
+    """Validate a coefficient field characteristic: 0 or a prime."""
+    valid = isinstance(char, int) and not isinstance(char, bool) and (
+        char == 0
+        or char >= 2 and all(char % d for d in range(2, math.isqrt(char) + 1))
+    )
+    if not valid:
+        raise ValueError(f"characteristic must be 0 or a prime, got {char!r}")
 
 
 def matrix_rank(rows, char):

@@ -231,23 +231,45 @@ def _minimal_primes_cached(n, gens):
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_power_cached(n, primes, k):
-    result = None
-    for p in primes:
-        result = _prime_power(n, p, k) if result is None \
-            else result.intersect(_prime_power(n, p, k))
-    return MonomialIdeal(result.n, result.gens, prime_power_hint=(primes, k))
+    """Minimal generators of P_1^k ∩ ... ∩ P_r^k, folded in prime by prime.
+
+    J_j = P_1^k ∩ ... ∩ P_j^k is the set of u with sum_{P_t} u >= k for all
+    t <= j.  Extend: the minimal elements of g*S ∩ P^k are g itself when
+    sum_P g >= k, else g + e for e >= 0 on P with |e| = k - sum_P g; every
+    minimal generator of J_j is one of these for some generator g of J_(j-1).
+    Prune: u in J_j is minimal iff each i with u_i > 0 lies in a tight prime
+    (t <= j, sum_{P_t} u = k), since lowering u_i by one lowers exactly the
+    sums over the primes containing i, each by one.
+    """
+    folded = []  # (variables, bitmask) of the primes in J_j
+    gens = {(0,) * n}
+    for prime in primes:
+        variables = sorted(prime)
+        folded.append((variables, sum(1 << i for i in variables)))
+        candidates = set()
+        for g in gens:
+            short = k - sum(g[i] for i in variables)
+            if short <= 0:
+                candidates.add(g)
+                continue
+            for combo in itertools.combinations_with_replacement(variables, short):
+                u = list(g)
+                for i in combo:
+                    u[i] += 1
+                candidates.add(tuple(u))
+        gens = {u for u in candidates if _is_minimal(u, folded, k)}
+    return MonomialIdeal(n, tuple(sorted(gens, key=grlex_key)),
+                         prime_power_hint=(primes, k))
 
 
-def _prime_power(n, prime, k):
-    """k-th power of the prime generated by the given variables."""
-    variables = sorted(prime)
-    gens = []
-    for combo in itertools.combinations_with_replacement(variables, k):
-        g = [0] * n
-        for i in combo:
-            g[i] += 1
-        gens.append(tuple(g))
-    return MonomialIdeal.from_generators(gens, n)
+def _is_minimal(u, folded, k):
+    """Whether u is a minimal generator of the intersection of the k-th
+    powers of the ``folded`` primes, given that u lies in it."""
+    tight = 0
+    for variables, mask in folded:
+        if sum(u[i] for i in variables) == k:
+            tight |= mask
+    return all(tight >> i & 1 for i, a in enumerate(u) if a)
 
 
 def zero_ideal(n):

@@ -251,6 +251,45 @@ class TestErrorHandling:
         code, _, _ = run(capsys, ["depth", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("char", ["1", "4", "6"])
+    @pytest.mark.parametrize("command, options", [
+        ("depth", ["--engine", "takayama"]),
+        ("depth", ["--engine", "betti"]),
+        ("depth", []),
+        ("betti", []),
+    ])
+    def test_bad_char_is_input_error(self, triangle_file, capsys, command,
+                                     options, char):
+        code, out, err = run(capsys, [command, triangle_file, *options,
+                                      "--char", char])
+        assert code == 2
+        assert out == ""
+        assert "characteristic" in err
+
+    def test_fractional_exponent_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "frac.json"
+        path.write_text('{"n": 2, "generators": [[1.7, 0], [0, 1]]}')
+        code, out, err = run(capsys, ["depth", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "1.7" in err
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("no nonvanishing cohomology found; search box bug"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError(),
+    ])
+    def test_internal_error_exit_code(self, triangle_file, capsys,
+                                      monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("symdepth.cli.depth", fail)
+        code, out, err = run(capsys, ["depth", triangle_file])
+        assert code == 3
+        assert out == ""
+        assert "internal error" in err and type(exc).__name__ in err
+
     def test_bad_threads(self, triangle_file, capsys):
         code, _, err = run(capsys, ["--threads", "0", "depth", triangle_file])
         assert code == 2

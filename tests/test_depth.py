@@ -135,6 +135,21 @@ class TestCrossCheck:
         for k in (1, 2, 3, 4):
             assert depth(I.power(k), "cross_check").depth == 1
 
+    @pytest.mark.parametrize("char", [1, 4, 6, -2, True, 2.0])
+    def test_char_must_be_zero_or_prime(self, char):
+        for compute in (
+            lambda: depth(TRIANGLE, "cross_check", char),
+            lambda: depth_via_takayama(TRIANGLE, char),
+            lambda: depth_via_betti(TRIANGLE, char),
+            lambda: betti_table(TRIANGLE, char),
+        ):
+            with pytest.raises(ValueError, match="characteristic"):
+                compute()
+
+    def test_prime_char_accepted(self):
+        for char in (2, 3, 5, 7):
+            assert depth(TRIANGLE, "cross_check", char).depth == 1
+
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             depth(TRIANGLE, "magic")

@@ -5,7 +5,7 @@ import pytest
 from symdepth import MonomialIdeal, unit_ideal, zero_ideal
 from symdepth.monomial import mul_exp, pow_exp
 
-from _corpus import random_monomial, random_squarefree_ideal
+from _corpus import corpus, random_monomial, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -168,6 +168,48 @@ class TestSymbolicPower:
             self.triangle().symbolic_power(0)
 
 
+def cycle(n):
+    return ideal(
+        [tuple(1 if j in (i, (i + 1) % n) else 0 for j in range(n))
+         for i in range(n)],
+        n,
+    )
+
+
+class TestSymbolicPowerConstruction:
+    """The prime-by-prime construction against independent oracles."""
+
+    def test_matches_intersection_of_prime_powers(self):
+        for I in corpus():
+            primes = [
+                ideal([tuple(int(i == v) for i in range(I.n)) for v in p], I.n)
+                for p in I.minimal_primes()
+            ]
+            for k in (1, 2, 3):
+                expected = primes[0].power(k)
+                for P in primes[1:]:
+                    expected = expected.intersect(P.power(k))
+                assert I.symbolic_power(k).gens == expected.gens
+
+    def test_generators_are_minimal_members(self):
+        for I in corpus():
+            for k in (1, 2, 3):
+                for g in I.symbolic_power(k).gens:
+                    assert I.symbolic_contains(k, g)
+                    for i, a in enumerate(g):
+                        if a:
+                            lowered = g[:i] + (a - 1,) + g[i + 1:]
+                            assert not I.symbolic_contains(k, lowered)
+
+    @pytest.mark.parametrize("n, k, count", [(8, 3, 120), (10, 2, 55), (10, 3, 220)])
+    def test_cycle_generator_counts(self, n, k, count):
+        I = cycle(n)
+        Ik = I.symbolic_power(k)
+        assert len(Ik.gens) == count
+        assert Ik.prime_power_hint == (I.minimal_primes(), k)
+        assert Ik.prime_structure() == (I.minimal_primes(), k)
+
+
 class TestSymbolicContains:
     def triangle(self):
         return ideal([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3)
@@ -257,6 +299,30 @@ class TestJsonTextRoundTrip:
         from symdepth.formats import ideal_from_text
         I = ideal_from_text("n=3\nx1*x2\nx2*x3\n")
         assert I == ideal([(1, 1, 0), (0, 1, 1)], 3)
+
+    def test_json_rejects_non_integers(self):
+        from symdepth.formats import ideal_from_json
+        for bad in (
+            '{"n": 2, "generators": [[1.7, 0], [0, 1]]}',
+            '{"n": 2, "generators": [[1.0, 0]]}',
+            '{"n": 2, "generators": [["1", 0]]}',
+            '{"n": 2, "generators": [[true, 0]]}',
+            '{"n": 2.0, "generators": [[1, 0]]}',
+            '{"n": "2", "generators": [[1, 0]]}',
+            '{"n": 2, "generators": [1, 0]}',
+        ):
+            with pytest.raises(ValueError):
+                ideal_from_json(bad)
+
+    def test_json_integers_load_unchanged(self):
+        from symdepth.formats import ideal_from_json
+        I = ideal_from_json('{"n": 2, "generators": [[2, 0], [0, 1], [3, 1]]}')
+        assert I == ideal([(2, 0), (0, 1)], 2)
+
+    def test_complex_json_rejects_non_integer_vertices(self):
+        from symdepth.formats import complex_from_json
+        with pytest.raises(ValueError):
+            complex_from_json('{"n": 3, "facets": [[1.5, 2]]}')
 
     def test_unit_text_round_trip(self):
         from symdepth.formats import ideal_from_text, ideal_to_text
