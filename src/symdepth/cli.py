@@ -14,8 +14,10 @@ import sys
 
 from . import formats
 from .depth import EngineDisagreement, betti_table, depth
-from .sdepth import DEFAULT_NODE_BUDGET, INFINITY, BudgetExceeded, sdepth
+from .homology import check_char
+from .sdepth import DEFAULT_NODE_BUDGET, BudgetExceeded, json_value, sdepth
 from .stability import (
+    QUANTITIES,
     analyze_stability,
     matroid_report,
     sequence,
@@ -32,14 +34,14 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
 
+ENGINES = ("cross_check", "takayama", "betti")
+
 
 def _emit(data, fmt):
-    if fmt == "json":
-        print(json.dumps(data, indent=2))
-    elif fmt == "table":
+    if fmt == "table":
         _print_table(data)
     else:
-        raise ValueError(f"unsupported format {fmt!r}")
+        print(json.dumps(data, indent=2))
 
 
 def _print_table(data, indent=""):
@@ -62,35 +64,46 @@ def _print_table(data, indent=""):
         print(f"{indent}{data}")
 
 
+def _char(text):
+    """argparse type of --char, so a bad characteristic exits 2 before any
+    work."""
+    try:
+        char = int(text)
+        check_char(char)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"characteristic must be 0 or a prime, got {text}") from None
+    return char
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symdepth",
         description="Exact depth, Stanley depth, and symbolic-power "
                     "stability checks for squarefree monomial ideals.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; results are "
-                             "identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=False):
-        p.add_argument("--char", type=int, default=0,
-                       help="coefficient field characteristic (0 or a prime)")
-        p.add_argument("--format", choices=("json", "table", "csv"),
-                       default="json")
+    def add_common(p, char=False, budget=False, csv=False):
+        if char:
+            p.add_argument("--char", type=_char, default=0,
+                           help="coefficient field characteristic "
+                                "(0 or a prime)")
+        p.add_argument("--format", default="json",
+                       choices=("json", "table", "csv") if csv
+                       else ("json", "table"))
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                            help="node limit for the Stanley depth search")
 
     p = sub.add_parser("depth", help="depth of S/I")
     p.add_argument("ideal")
-    p.add_argument("--engine", choices=("cross_check", "takayama", "betti"),
-                   default="cross_check")
-    add_common(p)
+    p.add_argument("--engine", choices=ENGINES, default="cross_check")
+    add_common(p, char=True)
 
     p = sub.add_parser("betti", help="multigraded Betti numbers of S/I")
     p.add_argument("ideal")
-    add_common(p)
+    add_common(p, char=True)
 
     p = sub.add_parser("sdepth", help="Stanley depth of I or S/I")
     p.add_argument("ideal")
@@ -102,25 +115,14 @@ def build_parser():
     p.add_argument("-k", type=int, required=True)
     add_common(p)
 
-    p = sub.add_parser("sequence", help="quantity along symbolic powers")
-    p.add_argument("ideal")
-    p.add_argument("--quantity",
-                   choices=("depth", "sdepth_ideal", "sdepth_quotient"),
-                   default="depth")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--engine", choices=("cross_check", "takayama", "betti"),
-                   default="cross_check")
-    add_common(p, budget=True)
-
-    p = sub.add_parser("analyze", help="stability analysis of a sequence")
-    p.add_argument("ideal")
-    p.add_argument("--quantity",
-                   choices=("depth", "sdepth_ideal", "sdepth_quotient"),
-                   default="depth")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--engine", choices=("cross_check", "takayama", "betti"),
-                   default="cross_check")
-    add_common(p, budget=True)
+    for name, help_ in (("sequence", "quantity along symbolic powers"),
+                        ("analyze", "stability analysis of a sequence")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("ideal")
+        p.add_argument("--quantity", choices=QUANTITIES, default="depth")
+        p.add_argument("--kmax", type=int, required=True)
+        p.add_argument("--engine", choices=ENGINES, default="cross_check")
+        add_common(p, char=True, budget=True, csv=name == "sequence")
 
     p = sub.add_parser("verify", help="check an inequality or identity")
     vsub = p.add_subparsers(dest="check", required=True)
@@ -132,7 +134,7 @@ def build_parser():
         if name == "power-lemma":
             vp.add_argument("--samples", type=int, default=100)
             vp.add_argument("--seed", type=int, default=0)
-        add_common(vp, budget=(name == "sdepsym"))
+        add_common(vp, char=name == "depsym", budget=name == "sdepsym")
     vp = vsub.add_parser("colon-lemma")
     vp.add_argument("ideal")
     vp.add_argument("--kmax", type=int, required=True)
@@ -145,7 +147,7 @@ def build_parser():
     p = sub.add_parser("matroid-report", help="per-power report for a matroid")
     p.add_argument("complex")
     p.add_argument("--kmax", type=int, required=True)
-    add_common(p, budget=True)
+    add_common(p, char=True, budget=True)
 
     p = sub.add_parser("complex", help="simplicial complex utilities")
     csub = p.add_subparsers(dest="action", required=True)
@@ -158,16 +160,18 @@ def build_parser():
 
 
 def _run(args):
-    fmt = getattr(args, "format", "json")
+    fmt = args.format
+    if "ideal" in args:
+        ideal = formats.load_ideal(args.ideal)
+    else:
+        delta = formats.load_complex(args.complex)
 
     if args.command == "depth":
-        ideal = formats.load_ideal(args.ideal)
         witness = depth(ideal, args.engine, args.char)
         _emit(witness.to_dict(), fmt)
         return EXIT_OK
 
     if args.command == "betti":
-        ideal = formats.load_ideal(args.ideal)
         table = betti_table(ideal, args.char)
         data = table.to_dict()
         data["total"] = {str(i): v for i, v in sorted(table.total().items())}
@@ -176,13 +180,11 @@ def _run(args):
         return EXIT_OK
 
     if args.command == "sdepth":
-        ideal = formats.load_ideal(args.ideal)
         result = sdepth(ideal, args.kind, args.budget)
         _emit(result.to_dict(), fmt)
         return EXIT_OK
 
     if args.command == "symbolic-power":
-        ideal = formats.load_ideal(args.ideal)
         power = ideal.symbolic_power(args.k)
         data = formats.ideal_to_json(power)
         data["equals_ordinary_power"] = power == ideal.power(args.k)
@@ -190,21 +192,18 @@ def _run(args):
         return EXIT_OK
 
     if args.command == "sequence":
-        ideal = formats.load_ideal(args.ideal)
         report = sequence(ideal, args.quantity, args.kmax,
                           engine=args.engine, char=args.char,
                           node_budget=args.budget)
         if fmt == "csv":
             print("k,value,engine,char")
             for k, value in enumerate(report.values, start=1):
-                shown = "infinity" if value == INFINITY else value
-                print(f"{k},{shown},{report.engine},{report.char}")
+                print(f"{k},{json_value(value)},{report.engine},{report.char}")
         else:
             _emit(report.to_dict(), fmt)
         return EXIT_OK
 
     if args.command == "analyze":
-        ideal = formats.load_ideal(args.ideal)
         report = analyze_stability(ideal, args.quantity, args.kmax,
                                    engine=args.engine, char=args.char,
                                    node_budget=args.budget)
@@ -212,7 +211,6 @@ def _run(args):
         return EXIT_OK
 
     if args.command == "verify":
-        ideal = formats.load_ideal(args.ideal)
         if args.check == "depsym":
             result = verify_depth_comparison(ideal, args.m, args.k,
                                              char=args.char)
@@ -232,14 +230,12 @@ def _run(args):
         return EXIT_OK if result.passed else EXIT_VERIFY_FAIL
 
     if args.command == "matroid-report":
-        delta = formats.load_complex(args.complex)
         report = matroid_report(delta, args.kmax, char=args.char,
                                 node_budget=args.budget)
         _emit(report.to_dict(), fmt)
         return EXIT_OK if report.all_claims_hold else EXIT_VERIFY_FAIL
 
     if args.command == "complex":
-        delta = formats.load_complex(args.complex)
         if args.action == "check-matroid":
             is_mat, witness = delta.is_matroid()
             data = {"matroid": is_mat}
@@ -259,11 +255,10 @@ def _run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors (exit 2) and --help (exit 0)
+        return exc.code
     try:
         return _run(args)
     except EngineDisagreement as exc:

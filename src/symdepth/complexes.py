@@ -8,10 +8,11 @@ the empty complex {emptyset} has the single facet 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .homology import reduced_homology_from_faces
+from .homology import check_char, reduced_homology_from_faces
 from .monomial import MonomialIdeal, support
 
 
@@ -37,12 +38,27 @@ def submasks(mask):
 
 
 def _reduce_to_facets(masks):
-    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
+    """The inclusion-maximal masks, sorted by (cardinality, mask).  A
+    strict superset is a larger integer, so in descending order every
+    superset of a mask is met before the mask itself."""
     facets = []
-    for m in masks:
+    for m in sorted(set(masks), reverse=True):
         if not any(m & f == m for f in facets):
             facets.append(m)
     return tuple(sorted(facets, key=lambda m: (bin(m).count("1"), m)))
+
+
+def homology_dims(facets, char):
+    """Nonzero reduced homology dims {i: dim} of the complex with these
+    facets; a cone (all facets share a vertex) is acyclic and takes no
+    boundary ranks."""
+    apex = functools.reduce(int.__and__, facets) if facets else 0
+    if apex:
+        return {}
+    faces = set()
+    for f in facets:
+        faces.update(submasks(f))
+    return reduced_homology_from_faces(faces, char)
 
 
 @dataclass(frozen=True)
@@ -143,10 +159,10 @@ class SimplicialComplex:
         """Ideal generated by the minimal non-faces."""
         self._require_not_void()
         faces = self.face_masks()
-        nonfaces = [m for m in range(1 << self.n) if m not in faces]
-        minimal = _minimal_masks(nonfaces)
         return MonomialIdeal.from_generators(
-            (_mask_to_exponents(m, self.n) for m in minimal), self.n
+            (_mask_to_exponents(m, self.n)
+             for m in range(1 << self.n) if m not in faces),
+            self.n,
         )
 
     # ----- purity / matroid / vertex decomposability ------------------------
@@ -176,7 +192,8 @@ class SimplicialComplex:
     # ----- homology ---------------------------------------------------------
 
     def reduced_homology(self, char=0):
-        dims = reduced_homology_from_faces(self.face_masks(), char)
+        check_char(char)
+        dims = homology_dims(self.facets, char)
         return HomologyProfile(tuple(sorted(dims.items())), char)
 
     def face_counts(self):
@@ -198,32 +215,15 @@ def _has_exchange(small, candidates, face_set):
     return False
 
 
-def _minimal_masks(masks):
-    masks = sorted(masks, key=lambda m: bin(m).count("1"))
-    minimal = []
-    for m in masks:
-        if not any(f & m == f for f in minimal):
-            minimal.append(m)
-    return minimal
-
-
 def _mask_to_exponents(mask, n):
     return tuple(1 if mask >> i & 1 else 0 for i in range(n))
 
 
-_VD_CACHE = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _vertex_decomposable(n, facets):
-    key = facets
-    cached = _VD_CACHE.get(key)
-    if cached is not None:
-        return cached
     complex_ = SimplicialComplex(n, facets)
     if complex_.is_simplex:
-        _VD_CACHE[key] = True
         return True
-    result = False
     facet_set = set(facets)
     for v in vertices_of(complex_.vertex_mask()):
         deletion = complex_.deletion((v,))
@@ -231,10 +231,8 @@ def _vertex_decomposable(n, facets):
             continue
         if _vertex_decomposable(n, deletion.facets) and \
                 _vertex_decomposable(n, complex_.link((v,)).facets):
-            result = True
-            break
-    _VD_CACHE[key] = result
-    return result
+            return True
+    return False
 
 
 def complex_of_ideal(ideal):

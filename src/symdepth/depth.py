@@ -13,8 +13,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, mask_of, submasks, vertices_of
-from .homology import check_char, reduced_homology_from_faces
+from .complexes import (
+    SimplicialComplex,
+    _reduce_to_facets,
+    homology_dims,
+    mask_of,
+    submasks,
+    vertices_of,
+)
+from .homology import check_char
 from .monomial import check_exponents, support
 
 
@@ -110,54 +117,20 @@ def takayama_complex(ideal, pair):
     return SimplicialComplex.from_face_masks(ideal.n, faces)
 
 
-_PROFILE_CACHE = {}
+# The engines' homology memo, keyed on (facets, char).  Only the engines
+# read it: SimplicialComplex.reduced_homology recomputes, so re-checking an
+# engine witness through takayama_complex never reads the engine's entry.
+_homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
 
 
-def _homology_dims(facets, char):
-    """Nonzero reduced homology dims of a facet tuple, memoized; cones are
-    recognized and short-circuited."""
-    key = (facets, char)
-    cached = _PROFILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if facets:
-        apex = facets[0]
-        for f in facets[1:]:
-            apex &= f
-    else:
-        apex = 0
-    if facets and apex:
-        dims = {}
-    else:
-        faces = set()
-        for f in facets:
-            faces.update(submasks(f))
-        dims = reduced_homology_from_faces(faces, char)
-    _PROFILE_CACHE[key] = dims
-    return dims
-
-
-def _takayama_facets_generic(ideal, alpha, cos_mask, free_mask):
-    faces = [
-        f for f in submasks(free_mask)
-        if not ideal.localized_contains(alpha, vertices_of(f | cos_mask))
-    ]
-    return SimplicialComplex.from_face_masks(ideal.n, faces).facets
-
-
-def _takayama_facets_prime_power(n, prime_masks, k, sums, cos_mask, free_mask):
+def _takayama_facets_prime_power(prime_masks, k, sums, cos_mask, free_mask):
     """Facets when I is an intersection of prime powers: the complex is the
     union of the simplexes on free vertices avoiding each prime whose
     exponent sum falls short of k."""
-    facets = []
-    for p_mask, s in zip(prime_masks, sums):
-        if s < k and not p_mask & cos_mask:
-            facets.append(free_mask & ~p_mask)
-    maximal = []
-    for f in sorted(set(facets), reverse=True):
-        if not any(f & g == f for g in maximal):
-            maximal.append(f)
-    return tuple(sorted(maximal, key=lambda m: (bin(m).count("1"), m)))
+    return _reduce_to_facets(
+        free_mask & ~p_mask for p_mask, s in zip(prime_masks, sums)
+        if s < k and not p_mask & cos_mask
+    )
 
 
 # typed caches, so that char=2.0 misses the entry of char=2 and still
@@ -196,12 +169,11 @@ def depth_via_takayama(ideal, char=0):
                 if structure is not None:
                     sums = [sum(alpha[i] for i in vs) for vs in prime_vars]
                     facets = _takayama_facets_prime_power(
-                        n, prime_masks, k, sums, cos_mask, free_mask
+                        prime_masks, k, sums, cos_mask, free_mask
                     )
                 else:
-                    facets = _takayama_facets_generic(
-                        ideal, alpha, cos_mask, free_mask
-                    )
+                    pair = DegreePair(alpha, frozenset(cosupport))
+                    facets = takayama_complex(ideal, pair).facets
                 dims = _homology_dims(facets, char)
                 if not dims:
                     continue
@@ -229,15 +201,18 @@ def upper_koszul_complex(ideal, alpha):
     """Faces are the subsets F of the support of alpha with x^(alpha-F)
     still inside the ideal."""
     alpha = check_exponents(alpha, ideal.n)
-    box = _lcm_exponent(ideal)
+    box = ideal.generator_degree_bounds()
     if any(a > b for a, b in zip(alpha, box)):
         raise ValueError(f"degree {alpha} exceeds the lcm box {box}")
-    member = _membership_test(ideal)
+    return _koszul_complex(ideal.n, _membership_test(ideal), alpha)
+
+
+def _koszul_complex(n, member, alpha):
     faces = [
         f for f in submasks(mask_of(support(alpha)))
         if member(_subtract_mask(alpha, f))
     ]
-    return SimplicialComplex.from_face_masks(ideal.n, faces)
+    return SimplicialComplex.from_face_masks(n, faces)
 
 
 def betti_table(ideal, char=0):
@@ -250,16 +225,11 @@ def betti_table(ideal, char=0):
     entries = {(0, (0,) * n): 1}
     if not ideal.is_zero:
         member = _membership_test(ideal)
-        box = _lcm_exponent(ideal)
+        box = ideal.generator_degree_bounds()
         for alpha in itertools.product(*(range(b + 1) for b in box)):
             if not member(alpha):
                 continue  # void Koszul complex, no contribution
-            supp_mask = mask_of(support(alpha))
-            faces = [
-                f for f in submasks(supp_mask)
-                if member(_subtract_mask(alpha, f))
-            ]
-            facets = SimplicialComplex.from_face_masks(n, faces).facets
+            facets = _koszul_complex(n, member, alpha).facets
             for h, dim in _homology_dims(facets, char).items():
                 key = (h + 2, alpha)
                 entries[key] = entries.get(key, 0) + dim
@@ -287,10 +257,6 @@ def depth_via_betti(ideal, char=0):
         betti_index=pd,
         betti_degree=degree,
     )
-
-
-def _lcm_exponent(ideal):
-    return ideal.generator_degree_bounds()
 
 
 def _subtract_mask(alpha, mask):

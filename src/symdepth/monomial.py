@@ -12,8 +12,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-Exponents = tuple
-
 
 def check_exponents(u, n):
     """Validate an exponent vector and return it as a tuple."""
@@ -49,10 +47,6 @@ def quot_exp(u, v):
 
 def support(u):
     return frozenset(i for i, a in enumerate(u) if a > 0)
-
-
-def total_degree(u):
-    return sum(u)
 
 
 def grlex_key(u):

@@ -19,6 +19,11 @@ INFINITY = math.inf
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
+def json_value(value):
+    """A Stanley depth as JSON and CSV show it: INFINITY is "infinity"."""
+    return "infinity" if value == INFINITY else value
+
+
 class BudgetExceeded(RuntimeError):
     """The exact-cover search exceeded its node budget (never silently
     approximated)."""
@@ -54,12 +59,6 @@ class IntervalPartition:
     def sdepth(self):
         return min(_rho(iv.b, self.g) for iv in self.intervals)
 
-    def covered(self):
-        points = set()
-        for iv in self.intervals:
-            points.update(iv.members())
-        return points
-
     def is_exact_cover_of(self, points):
         seen = set()
         for iv in self.intervals:
@@ -78,10 +77,7 @@ class SdepthResult:
     witness: IntervalPartition = None
 
     def to_dict(self):
-        out = {
-            "kind": self.kind,
-            "value": "infinity" if self.value == INFINITY else self.value,
-        }
+        out = {"kind": self.kind, "value": json_value(self.value)}
         if self.g is not None:
             out["g"] = list(self.g)
         if self.witness is not None:

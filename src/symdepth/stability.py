@@ -5,12 +5,13 @@ verifiers, and the matroid report."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import complex_of_ideal
 from .depth import depth
-from .monomial import MonomialIdeal, check_exponents, pow_exp
-from .sdepth import DEFAULT_NODE_BUDGET, INFINITY, sdepth, split_by_variable
+from .homology import check_char
+from .monomial import MonomialIdeal, pow_exp
+from .sdepth import DEFAULT_NODE_BUDGET, json_value, sdepth, split_by_variable
 
 QUANTITIES = ("depth", "sdepth_ideal", "sdepth_quotient")
 
@@ -28,7 +29,7 @@ class SequenceReport:
         return {
             "quantity": self.quantity,
             "kmax": self.kmax,
-            "values": ["infinity" if v == INFINITY else v for v in self.values],
+            "values": [json_value(v) for v in self.values],
             "char": self.char,
             "engine": self.engine,
         }
@@ -120,6 +121,7 @@ def _value_at(ideal, k, quantity, engine, char, node_budget):
 def sequence(ideal, quantity, kmax, engine="cross_check", char=0,
              node_budget=DEFAULT_NODE_BUDGET):
     """Values of the chosen quantity on I^(1), ..., I^(kmax)."""
+    check_char(char)
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if kmax < 1:
@@ -205,8 +207,7 @@ def verify_depth_comparison(ideal, m, k, engine="takayama", char=0):
                        counterexample)
 
 
-def verify_sdepth_comparison(ideal, m, k, char=0,
-                             node_budget=DEFAULT_NODE_BUDGET):
+def verify_sdepth_comparison(ideal, m, k, node_budget=DEFAULT_NODE_BUDGET):
     """sdepth(I^(m)) >= sdepth(I^(km+j)) and the quotient analogue."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
@@ -218,8 +219,7 @@ def verify_sdepth_comparison(ideal, m, k, char=0,
             rhs = sdepth(ideal.symbolic_power(k * m + j), kind, node_budget).value
             ok = lhs >= rhs
             row = {"kind": kind, "m": m, "k": k, "j": j,
-                   "lhs": "infinity" if lhs == INFINITY else lhs,
-                   "rhs": "infinity" if rhs == INFINITY else rhs, "ok": ok}
+                   "lhs": json_value(lhs), "rhs": json_value(rhs), "ok": ok}
             comparisons.append(row)
             if not ok and counterexample is None:
                 counterexample = dict(row, ideal=[list(g) for g in ideal.gens])
@@ -294,9 +294,9 @@ def verify_splitting_bound(ideal, variable=0, node_budget=DEFAULT_NODE_BUDGET):
     ok = lhs >= rhs
     row = {
         "variable": variable + 1,
-        "lhs": "infinity" if lhs == INFINITY else lhs,
-        "restriction": "infinity" if restr_val == INFINITY else restr_val,
-        "colon": "infinity" if colon_val == INFINITY else colon_val,
+        "lhs": json_value(lhs),
+        "restriction": json_value(restr_val),
+        "colon": json_value(colon_val),
         "ok": ok,
     }
     counterexample = None if ok else dict(
@@ -308,6 +308,7 @@ def verify_splitting_bound(ideal, variable=0, node_budget=DEFAULT_NODE_BUDGET):
 def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
     """Per-power depth/sdepth rows for the Stanley-Reisner ideal of a
     matroid, with the Cohen-Macaulay and sdepth claims checked on each."""
+    check_char(char)
     is_mat, witness = delta.is_matroid()
     if not is_mat:
         raise ValueError(
@@ -339,7 +340,7 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
         rows.append({
             "k": k, "depth": dep, "dim": dim, "cohen_macaulay": dep == dim,
             "sdepth_quotient": sq,
-            "sdepth_ideal": "infinity" if si == INFINITY else si,
+            "sdepth_ideal": json_value(si),
             "claims_hold": claims,
         })
     return MatroidReport(n, d, n - d - 1, tuple(rows), all_hold, char=char)

@@ -1,10 +1,17 @@
-"""Fixed-seed random instance generators shared across the test suite."""
+"""Fixed-seed random instance generators and fixed instances shared
+across the test suite."""
 
 import random
 
 from symdepth import MonomialIdeal
 
 CORPUS_SEED = 20240817
+
+# Facets of the 6-vertex triangulation of the real projective plane
+# (0-based); its homology, and so the depth of its Stanley-Reisner ring,
+# depends on the characteristic.
+RP2_FACETS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
 
 
 def random_squarefree_ideal(rng, n):

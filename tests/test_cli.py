@@ -257,14 +257,28 @@ class TestErrorHandling:
         ("depth", ["--engine", "betti"]),
         ("depth", []),
         ("betti", []),
-    ])
+        ("sequence", ["--quantity", "sdepth_ideal", "--kmax", "1"]),
+        ("analyze", ["--kmax", "1"]),
+        ("verify depsym", ["-m", "1", "-k", "1"]),
+    ], ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else None)
     def test_bad_char_is_input_error(self, triangle_file, capsys, command,
                                      options, char):
-        code, out, err = run(capsys, [command, triangle_file, *options,
-                                      "--char", char])
+        code, out, err = run(capsys, [*command.split(), triangle_file,
+                                      *options, "--char", char])
         assert code == 2
         assert out == ""
         assert "characteristic" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--format", "csv"],
+        ["sdepth", "--char", "2"],
+    ])
+    def test_option_not_offered_is_usage_error(self, triangle_file, capsys,
+                                               argv):
+        code, out, err = run(capsys, [argv[0], triangle_file, *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert argv[1] in err
 
     def test_fractional_exponent_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "frac.json"
@@ -289,13 +303,3 @@ class TestErrorHandling:
         assert code == 3
         assert out == ""
         assert "internal error" in err and type(exc).__name__ in err
-
-    def test_bad_threads(self, triangle_file, capsys):
-        code, _, err = run(capsys, ["--threads", "0", "depth", triangle_file])
-        assert code == 2
-        assert "threads" in err
-
-    def test_threads_do_not_change_output(self, triangle_file, capsys):
-        _, one, _ = run(capsys, ["--threads", "1", "depth", triangle_file])
-        _, four, _ = run(capsys, ["--threads", "4", "depth", triangle_file])
-        assert one == four

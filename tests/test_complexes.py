@@ -4,7 +4,7 @@ import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, complex_of_ideal, zero_ideal
 
-from _corpus import random_squarefree_ideal
+from _corpus import RP2_FACETS, random_squarefree_ideal
 
 
 def cx(n, facets):
@@ -165,6 +165,19 @@ class TestHomology:
     def test_gf2_matches_char0_on_spheres(self):
         c = cx(3, [(0, 1), (0, 2), (1, 2)])
         assert c.reduced_homology(char=2).dims == c.reduced_homology().dims
+
+    def test_projective_plane_depends_on_char(self):
+        # H_1(RP^2; Z) = Z/2: acyclic over Q, not over GF(2)
+        c = cx(6, RP2_FACETS)
+        assert c.reduced_homology().dims == ()
+        assert c.reduced_homology(char=2).dims == ((1, 1), (2, 1))
+        assert c.reduced_homology(char=3).dims == ()
+
+    @pytest.mark.parametrize("char", [1, 4, 2.0])
+    def test_char_must_be_zero_or_prime(self, char):
+        with pytest.raises(ValueError, match="characteristic") as info:
+            cx(6, RP2_FACETS).reduced_homology(char)
+        assert repr(char) in str(info.value)
 
     def test_euler_poincare_on_random_corpus(self):
         rng = random.Random(24)

@@ -17,7 +17,7 @@ from symdepth import (
 )
 from symdepth.complexes import SimplicialComplex
 
-from _corpus import random_squarefree_ideal
+from _corpus import RP2_FACETS, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -145,6 +145,15 @@ class TestCrossCheck:
         ):
             with pytest.raises(ValueError, match="characteristic"):
                 compute()
+
+    @pytest.mark.parametrize("engine", ["takayama", "betti", "cross_check"])
+    def test_projective_plane_is_cohen_macaulay_only_off_char_2(self, engine):
+        # Reisner: the Stanley-Reisner ring of the 6-vertex RP^2 is
+        # Cohen-Macaulay (depth 3 = dim) over Q but has depth 2 over GF(2)
+        I = SimplicialComplex.from_facets(6, RP2_FACETS).stanley_reisner_ideal()
+        assert depth(I, engine, 0).depth == 3
+        assert depth(I, engine, 2).depth == 2
+        assert depth(I, engine, 3).depth == 3
 
     def test_prime_char_accepted(self):
         for char in (2, 3, 5, 7):

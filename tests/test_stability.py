@@ -50,6 +50,13 @@ class TestSequence:
         with pytest.raises(ValueError):
             sequence(TRIANGLE, "depth", 0)
 
+    @pytest.mark.parametrize("quantity", ["sdepth_ideal", "sdepth_quotient"])
+    def test_bad_char_without_homology(self, quantity):
+        with pytest.raises(ValueError, match="characteristic"):
+            sequence(TRIANGLE, quantity, 1, char=4)
+        with pytest.raises(ValueError, match="characteristic"):
+            analyze_stability(TRIANGLE, quantity, 1, char=4)
+
     def test_to_dict(self):
         d = sequence(TRIANGLE, "depth", 2).to_dict()
         assert d == {"quantity": "depth", "kmax": 2, "values": [1, 1],
@@ -248,6 +255,11 @@ class TestMatroidReport:
         assert report.all_claims_hold
         assert all(row["sdepth_ideal"] == "infinity" for row in report.rows)
         assert all(row["depth"] == 3 for row in report.rows)
+
+    def test_degenerate_simplex_checks_char(self):
+        delta = SimplicialComplex.from_facets(3, [(0, 1, 2)])
+        with pytest.raises(ValueError, match="characteristic"):
+            matroid_report(delta, 1, char=4)
 
     def test_non_matroid_rejected(self):
         delta = SimplicialComplex.from_facets(4, [(0, 1), (2, 3)])
