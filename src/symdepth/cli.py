@@ -224,6 +224,9 @@ def _run(args):
         elif args.check == "colon-lemma":
             result = verify_colon_identity(ideal, args.kmax)
         else:
+            if not 1 <= args.var <= ideal.n:
+                raise ValueError(
+                    f"variable index {args.var} out of range 1..{ideal.n}")
             result = verify_splitting_bound(ideal, args.var - 1,
                                             node_budget=args.budget)
         _emit(result.to_dict(), fmt)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .monomial import MonomialIdeal, grlex_key
@@ -35,7 +36,6 @@ class CharacteristicPoset:
     g: tuple
     points: tuple  # grlex-sorted exponent vectors
     kind: str  # "ideal" | "quotient"
-    ideal: MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,16 @@ def characteristic_poset(ideal, kind, g=None):
         g = tuple(g)
         if len(g) != ideal.n or any(a < b for a, b in zip(g, default)):
             raise ValueError(f"box corner {g} must dominate {default}")
-    points = []
-    for c in itertools.product(*(range(b + 1) for b in g)):
-        inside = ideal.contains(c)
-        if inside == (kind == "ideal"):
-            points.append(c)
+    points = [c for c in itertools.product(*(range(b + 1) for b in g))
+              if ideal.contains(c) == (kind == "ideal")]
     points.sort(key=grlex_key)
-    return CharacteristicPoset(ideal.n, g, tuple(points), kind, ideal)
+    return CharacteristicPoset(ideal.n, g, tuple(points), kind)
 
 
 class _Budget:
     def __init__(self, limit):
+        if limit < 1:
+            raise ValueError(f"node budget must be >= 1, got {limit}")
         self.limit = limit
         self.nodes = 0
 
@@ -133,66 +132,66 @@ class _Budget:
             )
 
 
+def _bits(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def sdepth_at_least(poset, s, budget=None):
     """An interval partition of the poset using only intervals whose top
-    touches the box corner in at least s coordinates, or None."""
+    touches the box corner in at least s coordinates, or None.  Point i
+    of poset.points is bit i; sets of points are int bitmasks."""
     if budget is None:
         budget = _Budget(DEFAULT_NODE_BUDGET)
-    g = poset.g
-    points = set(poset.points)
-    order = {p: idx for idx, p in enumerate(poset.points)}
+    g, points = poset.g, poset.points
+    # up[i], down[i]: points >= and <= point i, built per coordinate
+    up, down = [-1] * len(points), [-1] * len(points)
+    for t, corner in enumerate(g):
+        at = [0] * (corner + 1)
+        for i, p in enumerate(points):
+            at[p[t]] |= 1 << i
+        at_most = list(itertools.accumulate(at, operator.or_))
+        at_least = list(itertools.accumulate(at[::-1], operator.or_))[::-1]
+        for i, p in enumerate(points):
+            up[i] &= at_least[p[t]]
+            down[i] &= at_most[p[t]]
+    high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
     failed = set()
-
-    def admissible_tops(p, uncovered):
-        tops = []
-        for b in uncovered:
-            if _rho(b, g) < s or any(x > y for x, y in zip(p, b)):
-                continue
-            if all(
-                c in uncovered
-                for c in itertools.product(*(range(x, y + 1) for x, y in zip(p, b)))
-            ):
-                tops.append(b)
-        # larger intervals first, then canonical order
-        tops.sort(key=lambda b: (-sum(b), grlex_key(b)))
-        return tops
-
-    def minimal_points(uncovered):
-        return [
-            p for p in uncovered
-            if not any(
-                q != p and all(x <= y for x, y in zip(q, p)) for q in uncovered
-            )
-        ]
 
     def search(uncovered):
         budget.tick()
         if not uncovered:
             return []
-        key = frozenset(uncovered)
-        if key in failed:
+        if uncovered in failed:
             return None
-        best_p, best_tops = None, None
-        for p in sorted(minimal_points(uncovered), key=grlex_key):
-            tops = admissible_tops(p, uncovered)
+        best_a, best_tops = None, None
+        for a in _bits(uncovered):
+            if down[a] & uncovered != 1 << a:
+                continue  # a is not minimal
+            # [a, b] lies in uncovered iff it holds as many points as its box
+            tops = [b for b in _bits(up[a] & high & uncovered)
+                    if (up[a] & down[b] & uncovered).bit_count() == math.prod(
+                        y - x + 1 for x, y in zip(points[a], points[b]))]
             if not tops:
-                failed.add(key)
+                failed.add(uncovered)
                 return None
             if best_tops is None or len(tops) < len(best_tops):
-                best_p, best_tops = p, tops
-        for b in best_tops:
-            block = set(itertools.product(*(range(x, y + 1) for x, y in zip(best_p, b))))
-            rest = search(uncovered - block)
+                best_a, best_tops = a, tops
+        # larger intervals first; the stable sort keeps grlex order on ties
+        for b in sorted(best_tops, key=lambda b: -sum(points[b])):
+            rest = search(uncovered & ~(up[best_a] & down[b]))
             if rest is not None:
-                return [Interval(best_p, b)] + rest
-        failed.add(key)
+                return [(best_a, b)] + rest
+        failed.add(uncovered)
         return None
 
-    intervals = search(frozenset(points))
-    if intervals is None:
+    found = search((1 << len(points)) - 1)
+    if found is None:
         return None
-    intervals.sort(key=lambda iv: (grlex_key(iv.a), grlex_key(iv.b)))
-    return IntervalPartition(g, tuple(intervals))
+    return IntervalPartition(
+        g, tuple(Interval(points[a], points[b]) for a, b in sorted(found)))
 
 
 def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
@@ -201,11 +200,8 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
     Conventions: the zero module (zero ideal as a module, or S/S) has
     Stanley depth infinity; S over itself and S/0 have Stanley depth n.
     """
-    if kind not in ("ideal", "quotient"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind == "ideal" and ideal.is_zero:
-        return SdepthResult(kind, INFINITY)
-    if kind == "quotient" and ideal.is_unit:
+    if (kind == "ideal" and ideal.is_zero
+            or kind == "quotient" and ideal.is_unit):
         return SdepthResult(kind, INFINITY)
     return sdepth_from_poset(characteristic_poset(ideal, kind), node_budget)
 
@@ -213,12 +209,10 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
 def sdepth_from_poset(poset, node_budget=DEFAULT_NODE_BUDGET):
     """Best worst interval dimension over all partitions of the poset."""
     budget = _Budget(node_budget)
-    for s in range(poset.n, 0, -1):
+    for s in range(poset.n, -1, -1):  # singletons always cover at s = 0
         witness = sdepth_at_least(poset, s, budget)
         if witness is not None:
             return SdepthResult(poset.kind, s, poset.g, witness)
-    witness = sdepth_at_least(poset, 0, budget)
-    return SdepthResult(poset.kind, 0, poset.g, witness)
 
 
 def split_by_variable(ideal, i):

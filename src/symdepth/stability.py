@@ -227,17 +227,17 @@ def verify_sdepth_comparison(ideal, m, k, node_budget=DEFAULT_NODE_BUDGET):
                        counterexample)
 
 
-def verify_power_membership(ideal, m, k, samples=100, seed=0, max_degree=None):
+def verify_power_membership(ideal, m, k, samples=100, seed=0):
     """u in I^(m) iff u^(k+1) in I^(km+j), sampled over random monomials."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    if max_degree is None:
-        max_degree = m + k
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     comparisons = []
     counterexample = None
     for _ in range(samples):
-        u = tuple(rng.randint(0, max_degree) for _ in range(ideal.n))
+        u = tuple(rng.randint(0, m + k) for _ in range(ideal.n))
         lhs = ideal.symbolic_contains(m, u)
         for j in _admissible_j(m, k):
             rhs = ideal.symbolic_contains(k * m + j, pow_exp(u, k + 1))
@@ -256,6 +256,8 @@ def verify_power_membership(ideal, m, k, samples=100, seed=0, max_degree=None):
 def verify_colon_identity(ideal, kmax):
     """(I^(k) : x_1...x_n) is the unit ideal for k <= height and equals
     I^(k-height) beyond; needs an unmixed ideal."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     if not ideal.is_unmixed():
         raise ValueError("the colon identity requires an unmixed ideal")
     h = ideal.height()
@@ -284,8 +286,6 @@ def verify_colon_identity(ideal, kmax):
 def verify_splitting_bound(ideal, variable=0, node_budget=DEFAULT_NODE_BUDGET):
     """sdepth(I) >= min(sdepth of I with the variable removed, computed in
     the smaller ring, sdepth of (I : x_variable))."""
-    if ideal.is_zero:
-        raise ValueError("cannot split the zero ideal")
     restriction, colon_part = split_by_variable(ideal, variable)
     lhs = sdepth(ideal, "ideal", node_budget).value
     restr_val = sdepth(restriction, "ideal", node_budget).value
@@ -309,6 +309,8 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
     """Per-power depth/sdepth rows for the Stanley-Reisner ideal of a
     matroid, with the Cohen-Macaulay and sdepth claims checked on each."""
     check_char(char)
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     is_mat, witness = delta.is_matroid()
     if not is_mat:
         raise ValueError(

@@ -14,6 +14,21 @@ RP2_FACETS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
               (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
 
 
+def _edge_ideal(n, edges):
+    return MonomialIdeal.from_generators(
+        [tuple(1 if j in e else 0 for j in range(n)) for e in edges], n)
+
+
+def cycle(n):
+    """The edge ideal of the n-cycle."""
+    return _edge_ideal(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    """The edge ideal of the path on n vertices."""
+    return _edge_ideal(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def random_squarefree_ideal(rng, n):
     """A random proper nonzero squarefree ideal in n variables."""
     while True:

@@ -280,6 +280,31 @@ class TestErrorHandling:
         assert out == ""
         assert argv[1] in err
 
+    @pytest.mark.parametrize("command, message", [
+        ("sdepth {ideal} --budget 0", "node budget must be >= 1, got 0"),
+        ("sequence {ideal} --quantity sdepth_ideal --kmax 1 --budget -3",
+         "node budget must be >= 1, got -3"),
+        ("verify colon-lemma {ideal} --kmax 0", "kmax must be >= 1"),
+        ("verify power-lemma {ideal} -m 1 -k 1 --samples 0",
+         "samples must be >= 1"),
+        ("matroid-report {complex} --kmax 0", "kmax must be >= 1"),
+        ("verify splitting-bound {ideal} --var 0",
+         "variable index 0 out of range 1..3"),
+        ("verify splitting-bound {ideal} --var 4",
+         "variable index 4 out of range 1..3"),
+    ], ids=["budget-0", "budget-negative", "colon-lemma-kmax-0",
+            "power-lemma-samples-0", "matroid-report-kmax-0", "var-0",
+            "var-4"])
+    def test_value_out_of_range_is_input_error(self, triangle_file,
+                                               hollow_file, capsys, command,
+                                               message):
+        files = {"{ideal}": triangle_file, "{complex}": hollow_file}
+        argv = [files.get(word, word) for word in command.split()]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_fractional_exponent_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "frac.json"
         path.write_text('{"n": 2, "generators": [[1.7, 0], [0, 1]]}')

@@ -5,7 +5,7 @@ import pytest
 from symdepth import MonomialIdeal, unit_ideal, zero_ideal
 from symdepth.monomial import mul_exp, pow_exp
 
-from _corpus import corpus, random_monomial, random_squarefree_ideal
+from _corpus import corpus, cycle, random_monomial, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -166,14 +166,6 @@ class TestSymbolicPower:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             self.triangle().symbolic_power(0)
-
-
-def cycle(n):
-    return ideal(
-        [tuple(1 if j in (i, (i + 1) % n) else 0 for j in range(n))
-         for i in range(n)],
-        n,
-    )
 
 
 class TestSymbolicPowerConstruction:

@@ -15,7 +15,8 @@ from symdepth import (
     unit_ideal,
     zero_ideal,
 )
-from _corpus import random_monomial, random_squarefree_ideal
+from symdepth.sdepth import DEFAULT_NODE_BUDGET, _Budget
+from _corpus import cycle, path, random_monomial, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -109,6 +110,11 @@ class TestSdepthValues:
     def test_zero_module_conventions(self):
         assert sdepth(zero_ideal(3), "ideal").value == INFINITY
         assert sdepth(unit_ideal(3), "quotient").value == INFINITY
+
+    def test_unknown_kind_rejected(self):
+        for I in (TRIANGLE, zero_ideal(2), unit_ideal(2)):
+            with pytest.raises(ValueError, match="unknown kind"):
+                sdepth(I, "module")
 
     def test_full_ring_conventions(self):
         assert sdepth(unit_ideal(3), "ideal").value == 3
@@ -237,6 +243,49 @@ class TestBudget:
     def test_budget_error_is_not_a_value(self):
         # a budgeted failure must raise, never return an approximation
         poset = characteristic_poset(TRIANGLE, "quotient")
-        from symdepth.sdepth import _Budget
         with pytest.raises(BudgetExceeded):
             sdepth_at_least(poset, 1, _Budget(1))
+
+    def test_budget_below_one_is_input_error(self):
+        with pytest.raises(ValueError, match="node budget"):
+            sdepth(TRIANGLE, "ideal", node_budget=0)
+        with pytest.raises(ValueError, match="node budget"):
+            _Budget(-3)
+
+
+def _levels(poset, budget):
+    """Nodes used at each level s = n, n-1, ... with one shared budget, as
+    in sdepth_from_poset, and the first level's witness."""
+    nodes = []
+    for s in range(poset.n, -1, -1):
+        before = budget.nodes
+        witness = sdepth_at_least(poset, s, budget)
+        nodes.append(budget.nodes - before)
+        if witness is not None:
+            return nodes, s, witness
+
+
+class TestSearchOrder:
+    """The node counts pin the order in which minimal points and tops are
+    tried; a representation change of the search must keep them."""
+
+    @pytest.mark.parametrize("ideal_, k, kind, nodes, value, intervals", [
+        (cycle(5), 2, "quotient", [1, 1, 1, 35], 2, 16),
+        (cycle(4), 3, "ideal", [2, 36, 17], 2, 16),
+        (path(4), 2, "quotient", [1, 1, 312, 8], 1, 7),
+    ], ids=["C5^(2)-quotient", "C4^(3)-ideal", "P4^(2)-quotient"])
+    def test_nodes_per_level(self, ideal_, k, kind, nodes, value, intervals):
+        poset = characteristic_poset(ideal_.symbolic_power(k), kind)
+        got_nodes, got_value, witness = _levels(
+            poset, _Budget(DEFAULT_NODE_BUDGET))
+        assert got_nodes == nodes
+        assert got_value == value
+        assert len(witness.intervals) == intervals
+        assert witness.is_exact_cover_of(poset.points)
+
+    def test_frontier_exhausts_budget_at_the_same_node(self):
+        poset = characteristic_poset(cycle(6).symbolic_power(2), "quotient")
+        budget = _Budget(1000)
+        with pytest.raises(BudgetExceeded):
+            _levels(poset, budget)
+        assert budget.nodes == 1001

@@ -176,6 +176,10 @@ class TestVerifyPowerMembership:
         b = verify_power_membership(PATH, 1, 2, samples=20, seed=3)
         assert a.comparisons == b.comparisons
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            verify_power_membership(TRIANGLE, 1, 1, samples=0)
+
     def test_random_corpus_passes(self):
         rng = random.Random(54)
         for _ in range(10):
@@ -199,6 +203,10 @@ class TestVerifyColon:
         mixed = ideal([(1, 0, 1), (0, 1, 1)], 3)
         with pytest.raises(ValueError):
             verify_colon_identity(mixed, 2)
+
+    def test_bad_kmax(self):
+        with pytest.raises(ValueError, match="kmax"):
+            verify_colon_identity(TRIANGLE, 0)
 
     def test_random_unmixed_corpus(self):
         rng = random.Random(55)
@@ -265,6 +273,11 @@ class TestMatroidReport:
         delta = SimplicialComplex.from_facets(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             matroid_report(delta, 1)
+
+    def test_bad_kmax(self):
+        delta = SimplicialComplex.from_facets(3, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(ValueError, match="kmax"):
+            matroid_report(delta, 0)
 
     def test_to_dict(self):
         delta = SimplicialComplex.from_facets(3, [(0,), (1,), (2,)])
