@@ -15,7 +15,8 @@ import sys
 from . import formats
 from .depth import EngineDisagreement, betti_table, depth
 from .homology import check_char
-from .sdepth import DEFAULT_NODE_BUDGET, BudgetExceeded, json_value, sdepth
+from .sdepth import (DEFAULT_NODE_BUDGET, BudgetExceeded, check_budget,
+                     json_value, sdepth)
 from .stability import (
     QUANTITIES,
     analyze_stability,
@@ -64,16 +65,17 @@ def _print_table(data, indent=""):
         print(f"{indent}{data}")
 
 
-def _char(text):
-    """argparse type of --char, so a bad characteristic exits 2 before any
-    work."""
-    try:
-        char = int(text)
-        check_char(char)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"characteristic must be 0 or a prime, got {text}") from None
-    return char
+def _checked(check):
+    """argparse type: an int that passes check, so a bad --char or
+    --budget exits 2 before any work, even where nothing would use it."""
+    def parse(text):
+        try:
+            value = int(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def build_parser():
@@ -86,14 +88,15 @@ def build_parser():
 
     def add_common(p, char=False, budget=False, csv=False):
         if char:
-            p.add_argument("--char", type=_char, default=0,
+            p.add_argument("--char", type=_checked(check_char), default=0,
                            help="coefficient field characteristic "
                                 "(0 or a prime)")
         p.add_argument("--format", default="json",
                        choices=("json", "table", "csv") if csv
                        else ("json", "table"))
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+            p.add_argument("--budget", type=_checked(check_budget),
+                           default=DEFAULT_NODE_BUDGET,
                            help="node limit for the Stanley depth search")
 
     p = sub.add_parser("depth", help="depth of S/I")

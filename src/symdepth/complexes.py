@@ -55,10 +55,12 @@ def homology_dims(facets, char):
     apex = functools.reduce(int.__and__, facets) if facets else 0
     if apex:
         return {}
-    faces = set()
-    for f in facets:
-        faces.update(submasks(f))
-    return reduced_homology_from_faces(faces, char)
+    return reduced_homology_from_faces(_faces(facets), char)
+
+
+def _faces(facets):
+    """All faces of the complex with these facets, as a set of bitmasks."""
+    return {face for f in facets for face in submasks(f)}
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,7 @@ class SimplicialComplex:
 
     def face_masks(self):
         """All faces, as a set of bitmasks."""
-        faces = set()
-        for f in self.facets:
-            faces.update(submasks(f))
-        return faces
+        return _faces(self.facets)
 
     def is_face(self, mask):
         return any(mask & f == mask for f in self.facets)

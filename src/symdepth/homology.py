@@ -1,14 +1,16 @@
 """Exact reduced simplicial homology from face bitmasks.
 
 Faces are encoded as integer bitmasks over the vertex set.  Homology is
-computed from ranks of dense boundary matrices, exactly, either over the
-rationals (characteristic 0, the default) or over a prime field GF(p).
+computed from exact ranks of dense boundary matrices over Q (char 0, the
+default) or GF(p), by one fraction-free elimination: below the pivot row
+t, a row r with r[col] != 0 becomes t[col] * r - r[col] * t, then is
+reduced mod p or, over Z, divided by its gcd.  Both are invertible over
+the field, so ranks stay exact.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def check_char(char):
@@ -23,32 +25,24 @@ def check_char(char):
 
 def matrix_rank(rows, char):
     """Rank of an integer matrix over Q (char 0) or GF(char)."""
-    if not rows or not rows[0]:
-        return 0
-    if char == 0:
-        mat = [[Fraction(a) for a in row] for row in rows]
-    else:
-        mat = [[a % char for a in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
+    def reduce(row):  # an invertible scaling over the field
+        if char:
+            return [a % char for a in row]
+        g = math.gcd(*row)
+        return [a // g for a in row] if g > 1 else row
+
+    mat = [reduce(row) for row in rows]
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if pivot is None:
+    for col in range(len(mat[0]) if mat else 0):
+        found = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if found is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col] if char == 0 else pow(mat[row][col], -1, char)
-        for r in range(row + 1, nrows):
-            if mat[r][col]:
-                factor = mat[r][col] * inv
-                if char == 0:
-                    mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-                else:
-                    mat[r] = [(a - factor * b) % char for a, b in zip(mat[r], mat[row])]
-        row += 1
+        mat[rank], mat[found] = mat[found], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if f := mat[r][col]:
+                mat[r] = reduce([top[col] * a - f * b for a, b in zip(mat[r], top)])
         rank += 1
-        if row == nrows:
-            break
     return rank
 
 
@@ -75,21 +69,16 @@ def reduced_homology_from_faces(faces, char=0):
     Only the nonzero entries are returned; the void complex (no faces)
     yields an empty map.
     """
-    by_card = {}
-    for mask in faces:
+    by_card = {}  # cardinality -> sorted face masks
+    for mask in sorted(faces):
         by_card.setdefault(bin(mask).count("1"), []).append(mask)
-    if not by_card:
-        return {}
-    top = max(by_card)
-    for c in by_card:
-        by_card[c].sort()
-    ranks = {}  # cardinality c -> rank of the boundary map leaving C_c
-    for c in range(1, top + 1):
-        ranks[c] = matrix_rank(_boundary_matrix(by_card[c - 1], by_card[c]), char)
+    top = len(by_card) - 1  # subset closed: cardinalities 0..top all occur
+    # cardinality c -> rank of the boundary map leaving C_c
+    ranks = {c: matrix_rank(_boundary_matrix(by_card[c - 1], by_card[c]), char)
+             for c in range(1, top + 1)}
     dims = {}
-    for c in range(0, top + 1):
-        kernel = len(by_card[c]) - ranks.get(c, 0)
-        dim = kernel - ranks.get(c + 1, 0)
+    for c in range(top + 1):
+        dim = len(by_card[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0)
         if dim:
             dims[c - 1] = dim
     return dims

@@ -117,10 +117,15 @@ def characteristic_poset(ideal, kind, g=None):
     return CharacteristicPoset(ideal.n, g, tuple(points), kind)
 
 
+def check_budget(limit):
+    """Validate a search node budget: at least 1."""
+    if limit < 1:
+        raise ValueError(f"node budget must be >= 1, got {limit}")
+
+
 class _Budget:
     def __init__(self, limit):
-        if limit < 1:
-            raise ValueError(f"node budget must be >= 1, got {limit}")
+        check_budget(limit)
         self.limit = limit
         self.nodes = 0
 
@@ -200,6 +205,7 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
     Conventions: the zero module (zero ideal as a module, or S/S) has
     Stanley depth infinity; S over itself and S/0 have Stanley depth n.
     """
+    check_budget(node_budget)
     if (kind == "ideal" and ideal.is_zero
             or kind == "quotient" and ideal.is_unit):
         return SdepthResult(kind, INFINITY)

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import complex_of_ideal
-from .depth import depth
+from .depth import depth, depth_via_takayama
 from .homology import check_char
 from .monomial import MonomialIdeal, pow_exp
 from .sdepth import DEFAULT_NODE_BUDGET, json_value, sdepth, split_by_variable
@@ -189,15 +189,15 @@ def _admissible_j(m, k):
     return [j for j in range(m - k, m + 1) if k * m + j >= 1]
 
 
-def verify_depth_comparison(ideal, m, k, engine="takayama", char=0):
-    """depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
+def verify_depth_comparison(ideal, m, k, char=0):
+    """Takayama depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    lhs = depth(ideal.symbolic_power(m), engine, char).depth
+    lhs = depth_via_takayama(ideal.symbolic_power(m), char).depth
     comparisons = []
     counterexample = None
     for j in _admissible_j(m, k):
-        rhs = depth(ideal.symbolic_power(k * m + j), engine, char).depth
+        rhs = depth_via_takayama(ideal.symbolic_power(k * m + j), char).depth
         ok = lhs >= rhs
         row = {"m": m, "k": k, "j": j, "lhs": lhs, "rhs": rhs, "ok": ok}
         comparisons.append(row)

@@ -292,13 +292,27 @@ class TestErrorHandling:
          "variable index 0 out of range 1..3"),
         ("verify splitting-bound {ideal} --var 4",
          "variable index 4 out of range 1..3"),
+        ("sdepth {zero} --budget 0", "node budget must be >= 1, got 0"),
+        ("sdepth {unit} --kind quotient --budget -5",
+         "node budget must be >= 1, got -5"),
+        ("sequence {ideal} --quantity depth --kmax 1 --budget 0",
+         "node budget must be >= 1, got 0"),
+        ("matroid-report {simplex} --kmax 1 --budget 0",
+         "node budget must be >= 1, got 0"),
     ], ids=["budget-0", "budget-negative", "colon-lemma-kmax-0",
             "power-lemma-samples-0", "matroid-report-kmax-0", "var-0",
-            "var-4"])
+            "var-4", "budget-0-zero-ideal", "budget-negative-unit-quotient",
+            "budget-0-depth-sequence", "budget-0-matroid-simplex"])
     def test_value_out_of_range_is_input_error(self, triangle_file,
-                                               hollow_file, capsys, command,
-                                               message):
+                                               hollow_file, tmp_path, capsys,
+                                               command, message):
         files = {"{ideal}": triangle_file, "{complex}": hollow_file}
+        for name, text in (("zero", '{"n": 3, "generators": []}'),
+                           ("unit", '{"n": 3, "generators": [[0, 0, 0]]}'),
+                           ("simplex", '{"n": 3, "facets": [[1, 2, 3]]}')):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            files[f"{{{name}}}"] = str(path)
         argv = [files.get(word, word) for word in command.split()]
         code, out, err = run(capsys, argv)
         assert code == 2

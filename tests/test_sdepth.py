@@ -250,6 +250,8 @@ class TestBudget:
         with pytest.raises(ValueError, match="node budget"):
             sdepth(TRIANGLE, "ideal", node_budget=0)
         with pytest.raises(ValueError, match="node budget"):
+            sdepth(zero_ideal(3), "ideal", node_budget=0)
+        with pytest.raises(ValueError, match="node budget"):
             _Budget(-3)
 
 
