@@ -22,7 +22,7 @@ from .complexes import (
     vertices_of,
 )
 from .homology import check_char
-from .monomial import check_exponents, support
+from .monomial import check_exponents, divides, support
 
 
 class EngineDisagreement(RuntimeError):
@@ -199,37 +199,61 @@ def depth_via_takayama(ideal, char=0):
 
 def upper_koszul_complex(ideal, alpha):
     """Faces are the subsets F of the support of alpha with x^(alpha-F)
-    still inside the ideal."""
+    still inside the ideal.  That holds iff F lies in the slack set
+    {i : g_i < alpha_i} of a generator g dividing x^alpha, so the slack
+    sets of the dividing generators generate the complex; it is void when
+    no generator divides x^alpha."""
     alpha = check_exponents(alpha, ideal.n)
     box = ideal.generator_degree_bounds()
     if any(a > b for a, b in zip(alpha, box)):
         raise ValueError(f"degree {alpha} exceeds the lcm box {box}")
-    return _koszul_complex(ideal.n, _membership_test(ideal), alpha)
+    return SimplicialComplex.from_face_masks(
+        ideal.n, [_slack_mask(g, alpha) for g in ideal.gens if divides(g, alpha)]
+    )
 
 
-def _koszul_complex(n, member, alpha):
-    faces = [
-        f for f in submasks(mask_of(support(alpha)))
-        if member(_subtract_mask(alpha, f))
-    ]
-    return SimplicialComplex.from_face_masks(n, faces)
+def _slack_mask(g, alpha):
+    return mask_of(i for i, (a, b) in enumerate(zip(g, alpha)) if a < b)
 
 
 def betti_table(ideal, char=0):
     """Multigraded Betti numbers of S/I from reduced homology of the
-    upper Koszul complexes over the lcm box."""
+    upper Koszul complexes over the lcm box.
+
+    Only lcm-lattice points can carry a nonzero Betti number
+    (Gasharov-Peeva-Welker): where some coordinate i has no dividing
+    generator with g_i = alpha_i, every slack set contains i and the
+    complex is a cone.  Bitmasks over generator indices, built once per
+    call, give the dividing generators and this test with n ANDs per box
+    point; complexes are built only at the remaining lattice points."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
     n = ideal.n
     entries = {(0, (0,) * n): 1}
     if not ideal.is_zero:
-        member = _membership_test(ideal)
+        gens = ideal.gens
         box = ideal.generator_degree_bounds()
+        # at_most[i][v] / exactly[i][v]: generators with g_i <= v / g_i == v
+        exactly = [[0] * (b + 1) for b in box]
+        for j, g in enumerate(gens):
+            for i, a in enumerate(g):
+                exactly[i][a] |= 1 << j
+        at_most = [list(itertools.accumulate(row, int.__or__)) for row in exactly]
+        every = (1 << len(gens)) - 1
         for alpha in itertools.product(*(range(b + 1) for b in box)):
-            if not member(alpha):
-                continue  # void Koszul complex, no contribution
-            facets = _koszul_complex(n, member, alpha).facets
+            divisors = every
+            for i, a in enumerate(alpha):
+                divisors &= at_most[i][a]
+            if not divisors or not all(
+                divisors & exactly[i][a] for i, a in enumerate(alpha)
+            ):
+                continue  # void complex, or a cone off the lcm lattice
+            slack = [
+                _slack_mask(g, alpha)
+                for j, g in enumerate(gens) if divisors >> j & 1
+            ]
+            facets = SimplicialComplex.from_face_masks(n, slack).facets
             for h, dim in _homology_dims(facets, char).items():
                 key = (h + 2, alpha)
                 entries[key] = entries.get(key, 0) + dim
@@ -257,25 +281,6 @@ def depth_via_betti(ideal, char=0):
         betti_index=pd,
         betti_degree=degree,
     )
-
-
-def _subtract_mask(alpha, mask):
-    return tuple(a - (mask >> i & 1) for i, a in enumerate(alpha))
-
-
-def _membership_test(ideal):
-    structure = ideal.prime_structure()
-    if structure is None:
-        return lambda u: ideal.contains(u)
-    primes, k = structure
-    prime_vars = [sorted(p) for p in primes]
-
-    def member(u):
-        return all(a >= 0 for a in u) and all(
-            sum(u[i] for i in vs) >= k for vs in prime_vars
-        )
-
-    return member
 
 
 # --------------------------------------------------------------------------

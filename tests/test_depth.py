@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -15,9 +17,18 @@ from symdepth import (
     upper_koszul_complex,
     zero_ideal,
 )
-from symdepth.complexes import SimplicialComplex
+from symdepth.complexes import SimplicialComplex, homology_dims, mask_of, submasks
+from symdepth.depth import BettiTable
+from symdepth.homology import check_char
+from symdepth.monomial import divides, lcm_exp, support
 
-from _corpus import RP2_FACETS, random_squarefree_ideal
+from _corpus import (
+    RP2_FACETS,
+    corpus,
+    cycle,
+    random_monomial,
+    random_squarefree_ideal,
+)
 
 
 def ideal(gens, n):
@@ -109,6 +120,150 @@ class TestBettiTable:
         gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         table = betti_table(ideal(gens, n))
         assert table.total() == {i: comb(n, i) for i in range(n + 1)}
+
+
+def reference_betti_table(ideal, char=0):
+    """The membership-based scan: an upper Koszul complex from 2^|supp
+    alpha| membership tests at every box point in the ideal."""
+    check_char(char)
+    if ideal.is_unit:
+        raise ValueError("Betti table of the zero module is undefined")
+    n = ideal.n
+    entries = {(0, (0,) * n): 1}
+    if not ideal.is_zero:
+        member = _membership_test(ideal)
+        box = ideal.generator_degree_bounds()
+        for alpha in itertools.product(*(range(b + 1) for b in box)):
+            if not member(alpha):
+                continue  # void Koszul complex, no contribution
+            facets = _koszul_complex(n, member, alpha).facets
+            for h, dim in homology_dims(facets, char).items():
+                key = (h + 2, alpha)
+                entries[key] = entries.get(key, 0) + dim
+    return BettiTable(
+        n, tuple(sorted((i, a, v) for (i, a), v in entries.items()))
+    )
+
+
+def _koszul_complex(n, member, alpha):
+    faces = [
+        f for f in submasks(mask_of(support(alpha)))
+        if member(_subtract_mask(alpha, f))
+    ]
+    return SimplicialComplex.from_face_masks(n, faces)
+
+
+def _subtract_mask(alpha, mask):
+    return tuple(a - (mask >> i & 1) for i, a in enumerate(alpha))
+
+
+def _membership_test(ideal):
+    structure = ideal.prime_structure()
+    if structure is None:
+        return lambda u: ideal.contains(u)
+    primes, k = structure
+    prime_vars = [sorted(p) for p in primes]
+
+    def member(u):
+        return all(a >= 0 for a in u) and all(
+            sum(u[i] for i in vs) >= k for vs in prime_vars
+        )
+
+    return member
+
+
+class TestBettiScanReference:
+    def test_symbolic_powers_of_corpus(self):
+        for I in corpus():
+            for k in (1, 2):
+                J = I.symbolic_power(k)
+                for char in (0, 2):
+                    assert betti_table(J, char) == reference_betti_table(J, char)
+
+    def test_non_squarefree_ideals(self):
+        rng = random.Random(38)
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            gens = [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 5))]
+            I = ideal(gens, n)
+            if I.is_unit:
+                continue
+            for char in (0, 3):
+                assert betti_table(I, char) == reference_betti_table(I, char)
+
+
+class TestLcmLattice:
+    def test_betti_degrees_are_lcms_of_their_divisors(self):
+        for I in corpus():
+            for k in (1, 2):
+                J = I.symbolic_power(k)
+                for i, alpha, _ in betti_table(J).entries:
+                    if i > 0:
+                        divisors = [g for g in J.gens if divides(g, alpha)]
+                        assert functools.reduce(lcm_exp, divisors) == alpha
+
+    def test_upper_koszul_complex_off_the_lattice_is_a_cone(self):
+        for I in corpus():
+            for k in (1, 2):
+                J = I.symbolic_power(k)
+                box = J.generator_degree_bounds()
+                for alpha in itertools.product(*(range(b + 1) for b in box)):
+                    divisors = [g for g in J.gens if divides(g, alpha)]
+                    if divisors and functools.reduce(lcm_exp, divisors) != alpha:
+                        facets = upper_koszul_complex(J, alpha).facets
+                        assert functools.reduce(int.__and__, facets)
+
+    def test_cycle_8_symbolic_square(self, monkeypatch):
+        J = cycle(8).symbolic_power(2)
+        build = SimplicialComplex.from_face_masks.__func__
+        built = []
+
+        def counted(cls, n, masks):
+            built.append(n)
+            return build(cls, n, masks)
+
+        monkeypatch.setattr(SimplicialComplex, "from_face_masks", classmethod(counted))
+        table = betti_table(J)
+        # one complex per lcm-lattice point of the 6561-point box
+        assert len(built) == 1828
+        assert table.total() == {0: 1, 1: 36, 2: 112, 3: 148, 4: 95, 5: 24}
+        assert len({alpha for i, alpha, _ in table.entries if i > 0}) == 393
+        assert depth_via_betti(J).depth == 3
+
+
+def _moved(u, perm):
+    """The exponent vector with variable i renamed to perm[i]."""
+    out = [0] * len(u)
+    for i, a in enumerate(u):
+        out[perm[i]] = a
+    return tuple(out)
+
+
+class TestMetamorphic:
+    def test_permuting_variables(self):
+        rng = random.Random(41)
+        for I in rng.sample(corpus(), 50):
+            perm = rng.sample(range(I.n), I.n)
+            P = ideal([_moved(g, perm) for g in I.gens], I.n)
+            for k in (1, 2):
+                J, Q = I.symbolic_power(k), P.symbolic_power(k)
+                moved = sorted(
+                    (i, _moved(a, perm), v) for i, a, v in betti_table(J).entries
+                )
+                assert list(betti_table(Q).entries) == moved
+                for engine in ("takayama", "betti"):
+                    assert depth(Q, engine).depth == depth(J, engine).depth
+
+    def test_free_variable(self):
+        rng = random.Random(42)
+        for I in rng.sample(corpus(), 50):
+            F = ideal([g + (0,) for g in I.gens], I.n + 1)
+            for k in (1, 2):
+                J, G = I.symbolic_power(k), F.symbolic_power(k)
+                padded = [(i, a + (0,), v) for i, a, v in betti_table(J).entries]
+                assert list(betti_table(G).entries) == padded
+                for engine in ("takayama", "betti"):
+                    assert depth(G, engine).depth == depth(J, engine).depth + 1
 
 
 class TestDepthViaBetti:
