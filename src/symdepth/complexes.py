@@ -77,9 +77,6 @@ class HomologyProfile:
     def is_trivial(self):
         return not self.dims
 
-    def to_dict(self):
-        return {"dims": {str(i): d for i, d in self.dims}, "char": self.char}
-
 
 @dataclass(frozen=True)
 class SimplicialComplex:

@@ -26,16 +26,21 @@ def _json_int(value, what):
     return value
 
 
+def _ring_size(value, what):
+    n = _json_int(value, f"{what} n")
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1")
+    return n
+
+
 def ideal_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = _json_int(data["n"], "variable count n")
+        n = _ring_size(data["n"], "variable count")
         generators = data["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed ideal JSON: {exc}") from exc
-    if n < 1:
-        raise ValueError("variable count must be >= 1")
     if not isinstance(generators, list) or \
             not all(isinstance(g, list) for g in generators):
         raise ValueError("generators must be a list of exponent lists")
@@ -56,7 +61,7 @@ def ideal_from_text(text):
         if not line:
             continue
         if line.startswith("n="):
-            n = int(line[2:].strip())
+            n = _ring_size(int(line[2:].strip()), "variable count")
             continue
         if n is None:
             raise ValueError("ring size n=<count> must come before generators")
@@ -96,7 +101,7 @@ def complex_from_json(data):
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        n = _json_int(data["n"], "vertex count n")
+        n = _ring_size(data["n"], "vertex count")
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex JSON: {exc}") from exc

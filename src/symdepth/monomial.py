@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def check_exponents(u, n):
@@ -58,19 +58,15 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generators.
 
     The zero ideal has an empty generator tuple; the unit ideal is
-    generated by the all-zero exponent vector (the monomial 1).
-
-    ``prime_power_hint`` optionally records that the ideal equals the
-    intersection of the k-th powers of the listed variable-subset primes.
-    It is carried for speed only and never takes part in equality.
+    generated by the all-zero exponent vector (the monomial 1).  Anything
+    else, such as a prime-power form, is derived from ``n`` and ``gens``.
     """
 
     n: int
     gens: tuple
-    prime_power_hint: tuple = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_generators(cls, generators, n, prime_power_hint=None):
+    def from_generators(cls, generators, n):
         """Build the canonical minimal generating set (spec: normalize)."""
         gens = [check_exponents(g, n) for g in generators]
         gens = sorted(set(gens), key=grlex_key)
@@ -78,7 +74,7 @@ class MonomialIdeal:
         for g in gens:
             if not any(divides(h, g) for h in minimal):
                 minimal.append(g)
-        return cls(n, tuple(minimal), prime_power_hint)
+        return cls(n, tuple(minimal))
 
     # ----- basic predicates -------------------------------------------------
 
@@ -199,13 +195,17 @@ class MonomialIdeal:
         return tuple(bounds)
 
     def prime_structure(self):
-        """(primes, k) with I equal to the intersection of the k-th prime
-        powers, when known; squarefree ideals always have one with k=1."""
-        if self.prime_power_hint is not None:
-            return self.prime_power_hint
-        if self.is_squarefree and not self.is_zero and not self.is_unit:
-            return (self.minimal_primes(), 1)
-        return None
+        """(primes, k) with I the intersection of the k-th powers of its
+        minimal primes (those of its radical), or None if it has no such
+        form.  Such an I localizes to P^k at each P, so some generator sums
+        to exactly k over each P: read k off primes[0], compare generators."""
+        if self.is_zero or self.is_unit:
+            return None
+        radical = [tuple(min(a, 1) for a in g) for g in self.gens]
+        primes = MonomialIdeal.from_generators(radical, self.n).minimal_primes()
+        k = min(sum(g[i] for i in primes[0]) for g in self.gens)
+        power = _symbolic_power_cached(self.n, primes, k)
+        return (primes, k) if power.gens == self.gens else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,8 +252,7 @@ def _symbolic_power_cached(n, primes, k):
                     u[i] += 1
                 candidates.add(tuple(u))
         gens = {u for u in candidates if _is_minimal(u, folded, k)}
-    return MonomialIdeal(n, tuple(sorted(gens, key=grlex_key)),
-                         prime_power_hint=(primes, k))
+    return MonomialIdeal(n, tuple(sorted(gens, key=grlex_key)))
 
 
 def _is_minimal(u, folded, k):

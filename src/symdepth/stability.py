@@ -18,7 +18,6 @@ QUANTITIES = ("depth", "sdepth_ideal", "sdepth_quotient")
 
 @dataclass(frozen=True)
 class SequenceReport:
-    ideal: MonomialIdeal
     quantity: str
     kmax: int
     values: tuple  # values[i] is the value at symbolic power i+1
@@ -130,7 +129,7 @@ def sequence(ideal, quantity, kmax, engine="cross_check", char=0,
         _value_at(ideal, k, quantity, engine, char, node_budget)
         for k in range(1, kmax + 1)
     )
-    return SequenceReport(ideal, quantity, kmax, values, char, engine)
+    return SequenceReport(quantity, kmax, values, char, engine)
 
 
 def analyze_stability(ideal, quantity, kmax, engine="cross_check", char=0,

@@ -50,3 +50,28 @@ def corpus(count=200, seed=CORPUS_SEED, nmax=5):
 
 def random_monomial(rng, n, max_degree):
     return tuple(rng.randint(0, max_degree) for _ in range(n))
+
+
+def random_non_squarefree_ideal(rng, n, max_exponent=3):
+    """A random proper nonzero monomial ideal in n variables with some
+    exponent above 1.  Half are symbolic powers I^(k), k = 2 or 3, of a
+    random squarefree I, half of those with one random monomial added;
+    the rest have random generators."""
+    while True:
+        if rng.random() < 0.5:
+            k = rng.randint(2, 3)
+            gens = list(random_squarefree_ideal(rng, n).symbolic_power(k).gens)
+            if rng.random() < 0.5:
+                gens.append(random_monomial(rng, n, max_exponent))
+        else:
+            count = rng.randint(1, n + 1)
+            gens = [random_monomial(rng, n, max_exponent) for _ in range(count)]
+        ideal = MonomialIdeal.from_generators(gens, n)
+        if not ideal.is_zero and ideal.is_proper and not ideal.is_squarefree:
+            return ideal
+
+
+def non_squarefree_corpus(count=300, seed=CORPUS_SEED, nmax=4):
+    rng = random.Random(seed)
+    return [random_non_squarefree_ideal(rng, rng.randint(2, nmax))
+            for _ in range(count)]

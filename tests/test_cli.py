@@ -299,17 +299,25 @@ class TestErrorHandling:
          "node budget must be >= 1, got 0"),
         ("matroid-report {simplex} --kmax 1 --budget 0",
          "node budget must be >= 1, got 0"),
+        ("depth {text_n0}", "variable count must be >= 1"),
+        ("betti {text_n0}", "variable count must be >= 1"),
+        ("sdepth {text_n0} --kind quotient", "variable count must be >= 1"),
+        ("complex sr-ideal {negative}", "vertex count must be >= 1"),
     ], ids=["budget-0", "budget-negative", "colon-lemma-kmax-0",
             "power-lemma-samples-0", "matroid-report-kmax-0", "var-0",
             "var-4", "budget-0-zero-ideal", "budget-negative-unit-quotient",
-            "budget-0-depth-sequence", "budget-0-matroid-simplex"])
+            "budget-0-depth-sequence", "budget-0-matroid-simplex",
+            "depth-text-n-0", "betti-text-n-0", "sdepth-text-n-0",
+            "complex-n-negative"])
     def test_value_out_of_range_is_input_error(self, triangle_file,
                                                hollow_file, tmp_path, capsys,
                                                command, message):
         files = {"{ideal}": triangle_file, "{complex}": hollow_file}
         for name, text in (("zero", '{"n": 3, "generators": []}'),
                            ("unit", '{"n": 3, "generators": [[0, 0, 0]]}'),
-                           ("simplex", '{"n": 3, "facets": [[1, 2, 3]]}')):
+                           ("simplex", '{"n": 3, "facets": [[1, 2, 3]]}'),
+                           ("text_n0", "n=0\n"),
+                           ("negative", '{"n": -2, "facets": [[]]}')):
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             files[f"{{{name}}}"] = str(path)

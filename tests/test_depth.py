@@ -18,7 +18,7 @@ from symdepth import (
     zero_ideal,
 )
 from symdepth.complexes import SimplicialComplex, homology_dims, mask_of, submasks
-from symdepth.depth import BettiTable
+from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
 from symdepth.monomial import divides, lcm_exp, support
 
@@ -26,6 +26,7 @@ from _corpus import (
     RP2_FACETS,
     corpus,
     cycle,
+    non_squarefree_corpus,
     random_monomial,
     random_squarefree_ideal,
 )
@@ -326,6 +327,28 @@ class TestCrossCheck:
         assert exc.witness_a.depth == 1 and exc.witness_b.depth == 2
 
 
+def reference_takayama_witness(ideal, char=0):
+    """The generic Takayama scan: takayama_complex at every cosupport and
+    every alpha of the box, whatever the ideal's form."""
+    n = ideal.n
+    rho = ideal.generator_degree_bounds()
+    best = None  # (depth, cosupport, alpha_plus, homology index)
+    for csize in range(n + 1):
+        if best is not None and best[0] <= csize:
+            break
+        for cosupport in itertools.combinations(range(n), csize):
+            ranges = [range(1) if j in cosupport else range(max(rho[j], 1))
+                      for j in range(n)]
+            for alpha in itertools.product(*ranges):
+                pair = DegreePair(alpha, frozenset(cosupport))
+                dims = takayama_complex(ideal, pair).reduced_homology(char).dims
+                if dims and (best is None or dims[0][0] + csize + 1 < best[0]):
+                    best = (dims[0][0] + csize + 1, cosupport, alpha, dims[0][0])
+    i, cosupport, alpha, h_index = best
+    return DepthWitness(depth=i, engine="takayama", char=char, alpha_plus=alpha,
+                        cosupport=cosupport, homology_index=h_index)
+
+
 class TestEngineAgreementRandom:
     def test_random_ideals_and_symbolic_powers(self):
         rng = random.Random(31)
@@ -340,8 +363,21 @@ class TestEngineAgreementRandom:
         for _ in range(10):
             I = random_squarefree_ideal(rng, 3)
             J = I.symbolic_power(rng.randint(1, 3))
-            bare = MonomialIdeal(J.n, J.gens)  # hint stripped
-            assert depth_via_takayama(J).depth == depth_via_takayama(bare).depth
+            assert J.prime_structure() is not None
+            assert depth_via_takayama(J) == reference_takayama_witness(J)
+
+    def test_non_squarefree_ideals(self):
+        # ideals with a prime-power form take the engine's prime path and
+        # are checked against the generic scan; the others take the
+        # generic path and are checked against the Betti engine
+        for J in non_squarefree_corpus():
+            prime_path = J.prime_structure() is not None
+            for char in (0, 2):
+                witness = depth_via_takayama(J, char)
+                if prime_path:
+                    assert witness == reference_takayama_witness(J, char)
+                else:
+                    assert witness.depth == depth_via_betti(J, char).depth
 
 
 class TestSearchBoxJustification:

@@ -5,7 +5,13 @@ import pytest
 from symdepth import MonomialIdeal, unit_ideal, zero_ideal
 from symdepth.monomial import mul_exp, pow_exp
 
-from _corpus import corpus, cycle, random_monomial, random_squarefree_ideal
+from _corpus import (
+    corpus,
+    cycle,
+    non_squarefree_corpus,
+    random_monomial,
+    random_squarefree_ideal,
+)
 
 
 def ideal(gens, n):
@@ -198,8 +204,54 @@ class TestSymbolicPowerConstruction:
         I = cycle(n)
         Ik = I.symbolic_power(k)
         assert len(Ik.gens) == count
-        assert Ik.prime_power_hint == (I.minimal_primes(), k)
+        assert MonomialIdeal.from_generators(Ik.gens, n).prime_structure() == (
+            I.minimal_primes(), k)
         assert Ik.prime_structure() == (I.minimal_primes(), k)
+
+
+def prime_power_fold(primes, k, n):
+    """P_1^k ∩ ... ∩ P_r^k through ``power`` and ``intersect``."""
+    powers = [
+        ideal([tuple(int(i == v) for i in range(n)) for v in p], n).power(k)
+        for p in primes
+    ]
+    folded = powers[0]
+    for P in powers[1:]:
+        folded = folded.intersect(P)
+    return folded
+
+
+class TestPrimeStructure:
+    """prime_structure() is derived from the generators alone."""
+
+    @pytest.mark.parametrize("gens", [[(2, 0), (1, 1)], [(2, 0), (0, 3)]])
+    def test_no_prime_power_form(self, gens):
+        assert ideal(gens, 2).prime_structure() is None
+
+    def test_power_of_one_variable(self):
+        assert ideal([(2, 0)], 2).prime_structure() == ((frozenset({0}),), 2)
+
+    def test_zero_and_unit_have_none(self):
+        assert zero_ideal(3).prime_structure() is None
+        assert unit_ideal(3).prime_structure() is None
+
+    def test_symbolic_powers_rebuilt_from_generators(self):
+        for I in corpus():
+            for k in (1, 2, 3):
+                rebuilt = MonomialIdeal.from_generators(
+                    I.symbolic_power(k).gens, I.n)
+                assert rebuilt.prime_structure() == (I.minimal_primes(), k)
+
+    def test_non_squarefree_forms_equal_the_fold(self):
+        ideals = non_squarefree_corpus()
+        found = 0
+        for J in ideals:
+            structure = J.prime_structure()
+            if structure is not None:
+                found += 1
+                primes, k = structure
+                assert prime_power_fold(primes, k, J.n) == J
+        assert 0 < found < len(ideals)
 
 
 class TestSymbolicContains:

@@ -16,7 +16,13 @@ from symdepth import (
     zero_ideal,
 )
 from symdepth.sdepth import DEFAULT_NODE_BUDGET, _Budget
-from _corpus import cycle, path, random_monomial, random_squarefree_ideal
+from _corpus import (
+    corpus,
+    cycle,
+    path,
+    random_monomial,
+    random_squarefree_ideal,
+)
 
 
 def ideal(gens, n):
@@ -197,6 +203,28 @@ class TestOrderProperties:
         for iv in result.witness.intervals:
             for c in iv.members():
                 assert TRIANGLE.contains(c)
+
+
+class TestMetamorphic:
+    def test_permuting_variables(self):
+        rng = random.Random(49)
+        for I in rng.sample(corpus(), 40):
+            perm = rng.sample(range(I.n), I.n)
+            P = ideal([tuple(g[j] for j in perm) for g in I.gens], I.n)
+            for k in (1, 2):
+                J, Q = I.symbolic_power(k), P.symbolic_power(k)
+                for kind in ("ideal", "quotient"):
+                    assert sdepth(Q, kind).value == sdepth(J, kind).value
+
+    def test_free_variable(self):
+        # HVZ 2009: adding a variable that no generator uses adds 1
+        rng = random.Random(50)
+        for I in rng.sample(corpus(), 40):
+            F = ideal([g + (0,) for g in I.gens], I.n + 1)
+            for k in (1, 2):
+                J, G = I.symbolic_power(k), F.symbolic_power(k)
+                for kind in ("ideal", "quotient"):
+                    assert sdepth(G, kind).value == sdepth(J, kind).value + 1
 
 
 class TestSplitByVariable:
