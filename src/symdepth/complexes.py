@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .homology import check_char, reduced_homology_from_faces
-from .monomial import MonomialIdeal, support
+from .monomial import _symbolic_power_cached
 
 
 def mask_of(vertices):
@@ -152,13 +152,12 @@ class SimplicialComplex:
     # ----- Stanley-Reisner --------------------------------------------------
 
     def stanley_reisner_ideal(self):
-        """Ideal generated by the minimal non-faces."""
+        """Ideal generated by the minimal non-faces: the minimal sets that
+        meet the complement of every facet."""
         self._require_not_void()
-        faces = self.face_masks()
-        return MonomialIdeal.from_generators(
-            (_mask_to_exponents(m, self.n)
-             for m in range(1 << self.n) if m not in faces),
-            self.n,
+        full = (1 << self.n) - 1
+        return _symbolic_power_cached(
+            self.n, tuple(vertices_of(full & ~f) for f in self.facets), 1
         )
 
     # ----- purity / matroid / vertex decomposability ------------------------
@@ -211,10 +210,6 @@ def _has_exchange(small, candidates, face_set):
     return False
 
 
-def _mask_to_exponents(mask, n):
-    return tuple(1 if mask >> i & 1 else 0 for i in range(n))
-
-
 @functools.lru_cache(maxsize=None)
 def _vertex_decomposable(n, facets):
     complex_ = SimplicialComplex(n, facets)
@@ -232,16 +227,14 @@ def _vertex_decomposable(n, facets):
 
 
 def complex_of_ideal(ideal):
-    """Stanley-Reisner complex of a squarefree proper ideal: the faces are
-    the squarefree monomials outside the ideal."""
+    """Stanley-Reisner complex of a squarefree proper ideal: its facets are
+    the complements of the minimal primes (the full simplex for zero)."""
     if not ideal.is_squarefree:
         raise ValueError("Stanley-Reisner complex needs a squarefree ideal")
     if ideal.is_unit:
         raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    n = ideal.n
-    gen_masks = [mask_of(support(g)) for g in ideal.gens]
-    faces = [
-        m for m in range(1 << n)
-        if not any(g & m == g for g in gen_masks)
-    ]
-    return SimplicialComplex.from_face_masks(n, faces)
+    full = (1 << ideal.n) - 1
+    primes = ideal.minimal_primes() if ideal.gens else (frozenset(),)
+    return SimplicialComplex.from_face_masks(
+        ideal.n, (full & ~mask_of(p) for p in primes)
+    )

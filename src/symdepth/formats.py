@@ -105,6 +105,9 @@ def complex_from_json(data):
         facets = data["facets"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed complex JSON: {exc}") from exc
+    if not isinstance(facets, list) or \
+            not all(isinstance(f, list) for f in facets):
+        raise ValueError("facets must be a list of vertex lists")
     converted = []
     for facet in facets:
         vertices = [_json_int(v, "vertex") - 1 for v in facet]

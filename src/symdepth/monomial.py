@@ -210,22 +210,19 @@ class MonomialIdeal:
 
 @functools.lru_cache(maxsize=None)
 def _minimal_primes_cached(n, gens):
-    supports = [support(g) for g in gens]
-    universe = sorted(frozenset().union(*supports))
-    covers = []
-    for size in range(1, len(universe) + 1):
-        for subset in itertools.combinations(universe, size):
-            cand = frozenset(subset)
-            if any(found <= cand for found in covers):
-                continue
-            if all(cand & s for s in supports):
-                covers.append(cand)
-    return tuple(sorted(covers, key=lambda p: (len(p), sorted(p))))
+    covers = _symbolic_power_cached(n, tuple(support(g) for g in gens), 1)
+    return tuple(sorted(map(support, covers.gens),
+                        key=lambda p: (len(p), sorted(p))))
 
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_power_cached(n, primes, k):
     """Minimal generators of P_1^k ∩ ... ∩ P_r^k, folded in prime by prime.
+
+    Each P_t is the ideal of the variables in any set ``primes[t]``, prime
+    or not.  At k = 1 the generators are the squarefree monomials whose
+    supports are the minimal transversals of the sets (Alexander duality),
+    and the fold is Berge's transversal algorithm.
 
     J_j = P_1^k ∩ ... ∩ P_j^k is the set of u with sum_{P_t} u >= k for all
     t <= j.  Extend: the minimal elements of g*S ∩ P^k are g itself when

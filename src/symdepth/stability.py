@@ -177,10 +177,11 @@ def _certify(ideal, quantity, window_min):
         # symbolic powers of a principal ideal are its ordinary powers;
         # depth is constant and a principal ideal is one Stanley space
         return True, "principal"
-    if quantity in ("depth", "sdepth_quotient") and ideal.is_squarefree:
-        delta = complex_of_ideal(ideal)
-        if not delta.is_void and delta.is_matroid()[0]:
-            return True, "matroid"
+    # `sequence` built I^(1), so I is squarefree, proper and nonzero, and
+    # its complex contains the empty face
+    if quantity in ("depth", "sdepth_quotient") and \
+            complex_of_ideal(ideal).is_matroid()[0]:
+        return True, "matroid"
     return False, None
 
 

@@ -3,7 +3,7 @@ across the test suite."""
 
 import random
 
-from symdepth import MonomialIdeal
+from symdepth import MonomialIdeal, SimplicialComplex
 
 CORPUS_SEED = 20240817
 
@@ -75,3 +75,22 @@ def non_squarefree_corpus(count=300, seed=CORPUS_SEED, nmax=4):
     rng = random.Random(seed)
     return [random_non_squarefree_ideal(rng, rng.randint(2, nmax))
             for _ in range(count)]
+
+
+def random_complex(rng, n):
+    """A random complex on n >= 2 vertices with one to 2n facet
+    candidates, each a nonempty proper subset of the vertices."""
+    return SimplicialComplex.from_facets(n, [
+        rng.sample(range(n), rng.randint(1, n - 1))
+        for _ in range(rng.randint(1, 2 * n))
+    ])
+
+
+def complex_corpus(count=2000, seed=CORPUS_SEED, nmax=8):
+    """{emptyset} and the full simplex for each n <= nmax, then seeded
+    random complexes up to ``count`` in all."""
+    fixed = [SimplicialComplex.from_facets(n, facets)
+             for n in range(1, nmax + 1) for facets in ([()], [range(n)])]
+    rng = random.Random(seed)
+    return fixed + [random_complex(rng, rng.randint(2, nmax))
+                    for _ in range(count - len(fixed))]

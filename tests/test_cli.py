@@ -232,6 +232,15 @@ class TestComplexCommands:
         assert code == 0
         assert json.loads(out) == {"n": 3, "generators": [[1, 1, 1]]}
 
+    def test_sr_ideal_of_one_vertex_in_many(self, tmp_path, capsys):
+        path = tmp_path / "vertex.json"
+        path.write_text('{"n": 22, "facets": [[1]]}')
+        code, out, err = run(capsys, ["complex", "sr-ideal", str(path)])
+        assert code == 0 and err == ""
+        generators = json.loads(out)["generators"]
+        assert sorted(g.index(1) + 1 for g in generators) == list(range(2, 23))
+        assert all(sum(g) == 1 for g in generators)
+
 
 class TestErrorHandling:
     def test_missing_file(self, capsys):
@@ -303,12 +312,17 @@ class TestErrorHandling:
         ("betti {text_n0}", "variable count must be >= 1"),
         ("sdepth {text_n0} --kind quotient", "variable count must be >= 1"),
         ("complex sr-ideal {negative}", "vertex count must be >= 1"),
+        ("complex check-matroid {facets_int}",
+         "facets must be a list of vertex lists"),
+        ("complex check-matroid {facet_int}",
+         "facets must be a list of vertex lists"),
     ], ids=["budget-0", "budget-negative", "colon-lemma-kmax-0",
             "power-lemma-samples-0", "matroid-report-kmax-0", "var-0",
             "var-4", "budget-0-zero-ideal", "budget-negative-unit-quotient",
             "budget-0-depth-sequence", "budget-0-matroid-simplex",
             "depth-text-n-0", "betti-text-n-0", "sdepth-text-n-0",
-            "complex-n-negative"])
+            "complex-n-negative", "facets-not-a-list",
+            "facet-not-a-list"])
     def test_value_out_of_range_is_input_error(self, triangle_file,
                                                hollow_file, tmp_path, capsys,
                                                command, message):
@@ -317,7 +331,9 @@ class TestErrorHandling:
                            ("unit", '{"n": 3, "generators": [[0, 0, 0]]}'),
                            ("simplex", '{"n": 3, "facets": [[1, 2, 3]]}'),
                            ("text_n0", "n=0\n"),
-                           ("negative", '{"n": -2, "facets": [[]]}')):
+                           ("negative", '{"n": -2, "facets": [[]]}'),
+                           ("facets_int", '{"n": 3, "facets": 5}'),
+                           ("facet_int", '{"n": 3, "facets": [5]}')):
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             files[f"{{{name}}}"] = str(path)

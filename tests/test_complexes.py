@@ -3,8 +3,10 @@ import random
 import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, complex_of_ideal, zero_ideal
+from symdepth.complexes import mask_of
+from symdepth.monomial import support
 
-from _corpus import RP2_FACETS, random_squarefree_ideal
+from _corpus import RP2_FACETS, complex_corpus, corpus, random_squarefree_ideal
 
 
 def cx(n, facets):
@@ -82,6 +84,60 @@ class TestStanleyReisner:
     def test_nonsquarefree_rejected(self):
         with pytest.raises(ValueError):
             complex_of_ideal(MonomialIdeal.from_generators([(2, 0)], 2))
+
+
+def reference_complex_of_ideal(ideal):
+    """The 2^n scan: every squarefree monomial outside the ideal is a face."""
+    gen_masks = [mask_of(support(g)) for g in ideal.gens]
+    return SimplicialComplex.from_face_masks(ideal.n, (
+        m for m in range(1 << ideal.n)
+        if not any(g & m == g for g in gen_masks)
+    ))
+
+
+def reference_stanley_reisner_ideal(delta):
+    """The non-face scan: every non-face is a generator candidate."""
+    faces = delta.face_masks()
+    return MonomialIdeal.from_generators((
+        tuple(m >> i & 1 for i in range(delta.n))
+        for m in range(1 << delta.n) if m not in faces
+    ), delta.n)
+
+
+class TestStanleyReisnerAgainstScans:
+    """Both translations come from the minimal-transversal fold; the
+    exhaustive scans over all 2^n vertex sets are the references."""
+
+    def test_corpus_ideals(self):
+        for I in corpus(200):
+            delta = complex_of_ideal(I)
+            assert delta == reference_complex_of_ideal(I)
+            assert delta.stanley_reisner_ideal() == \
+                reference_stanley_reisner_ideal(delta)
+
+    def test_random_complexes(self):
+        complexes = complex_corpus()
+        assert len(complexes) == 2000
+        assert any(delta.is_empty_complex for delta in complexes)
+        assert any(delta.facets == ((1 << delta.n) - 1,)
+                   for delta in complexes)
+        for delta in complexes:
+            I = delta.stanley_reisner_ideal()
+            assert I == reference_stanley_reisner_ideal(delta)
+            assert complex_of_ideal(I) == reference_complex_of_ideal(I) == delta
+
+    def test_projective_plane(self):
+        delta = cx(6, RP2_FACETS)
+        I = delta.stanley_reisner_ideal()
+        assert I == reference_stanley_reisner_ideal(delta)
+        assert len(I.gens) == 10 and all(sum(g) == 3 for g in I.gens)
+        assert complex_of_ideal(I) == reference_complex_of_ideal(I) == delta
+
+    def test_one_vertex_in_many(self):
+        # the scan would visit all 2^22 vertex sets
+        I = MonomialIdeal.from_generators(
+            [tuple(int(i == j) for i in range(22)) for j in range(1, 22)], 22)
+        assert complex_of_ideal(I) == cx(22, [(0,)])
 
 
 class TestPurity:

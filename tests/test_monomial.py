@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from symdepth import MonomialIdeal, unit_ideal, zero_ideal
-from symdepth.monomial import mul_exp, pow_exp
+from symdepth import MonomialIdeal, SimplicialComplex, unit_ideal, zero_ideal
+from symdepth.monomial import mul_exp, pow_exp, support
 
 from _corpus import (
+    RP2_FACETS,
+    complex_corpus,
     corpus,
     cycle,
     non_squarefree_corpus,
@@ -135,6 +138,47 @@ class TestMinimalPrimes:
             zero_ideal(2).minimal_primes()
         with pytest.raises(ValueError):
             unit_ideal(2).minimal_primes()
+
+
+def reference_minimal_primes(ideal):
+    """Subset enumeration: the vertex covers of the generator supports
+    found by size, skipping supersets of covers already found."""
+    supports = [support(g) for g in ideal.gens]
+    universe = sorted(frozenset().union(*supports))
+    covers = []
+    for size in range(1, len(universe) + 1):
+        for subset in itertools.combinations(universe, size):
+            cand = frozenset(subset)
+            if any(found <= cand for found in covers):
+                continue
+            if all(cand & s for s in supports):
+                covers.append(cand)
+    return tuple(sorted(covers, key=lambda p: (len(p), sorted(p))))
+
+
+class TestMinimalPrimesAgainstEnumeration:
+    """Minimal primes come from the minimal-transversal fold; subset
+    enumeration is the reference."""
+
+    def test_corpus(self):
+        for I in corpus(200):
+            assert I.minimal_primes() == reference_minimal_primes(I)
+
+    def test_stanley_reisner_ideals_of_random_complexes(self):
+        checked = 0
+        for delta in complex_corpus():
+            I = delta.stanley_reisner_ideal()
+            if I.is_zero:
+                continue
+            assert I.minimal_primes() == reference_minimal_primes(I)
+            checked += 1
+        assert checked > 1900
+
+    def test_projective_plane(self):
+        I = SimplicialComplex.from_facets(6, RP2_FACETS).stanley_reisner_ideal()
+        primes = I.minimal_primes()
+        assert primes == reference_minimal_primes(I)
+        assert len(primes) == 10 and all(len(p) == 3 for p in primes)
 
 
 class TestHeightDim:
