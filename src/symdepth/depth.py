@@ -123,14 +123,50 @@ def takayama_complex(ideal, pair):
 _homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
 
 
-def _takayama_facets_prime_power(prime_masks, k, sums, cos_mask, free_mask):
-    """Facets when I is an intersection of prime powers: the complex is the
-    union of the simplexes on free vertices avoiding each prime whose
-    exponent sum falls short of k."""
-    return _reduce_to_facets(
-        free_mask & ~p_mask for p_mask, s in zip(prime_masks, sums)
-        if s < k and not p_mask & cos_mask
-    )
+def _generic_complexes(ideal, rho, cosupport):
+    """(alpha_plus, facets) at one cosupport for every alpha_plus of the
+    box, in box order."""
+    ranges = [range(1) if j in cosupport else range(max(rho[j], 1))
+              for j in range(ideal.n)]
+    for alpha in itertools.product(*ranges):
+        pair = DegreePair(alpha, frozenset(cosupport))
+        yield alpha, takayama_complex(ideal, pair).facets
+
+
+def _prime_power_complexes(prime_masks, k, rho, cos_mask):
+    """(alpha_plus, facets) at one cosupport when I is an intersection of
+    prime powers, one pair per distinct set of short primes, in box order.
+
+    The complex at alpha is the union of the simplexes on free vertices
+    avoiding each prime that misses the cosupport and whose exponent sum
+    falls short of k, so it depends only on those sums capped at k.  A
+    pass over the coordinates keeps, for each vector of capped sums, the
+    lex-first prefix that reaches it: a later prefix with the same sums has
+    the same completions, each after its twin's.  Prefixes are extended in
+    lex order and dicts keep insertion order, so every kept alpha is the
+    first of the box with its short primes, and they come out in box order.
+    """
+    live = [p for p in prime_masks if not p & cos_mask]
+    states = {(0,) * len(live): ()}
+    for j, top in enumerate(rho):
+        hits = [t for t, p in enumerate(live) if p >> j & 1]
+        if not hits:  # alpha_j moves no live sum: 0 comes first
+            states = {sums: alpha + (0,) for sums, alpha in states.items()}
+            continue
+        grown = {}
+        for sums, alpha in states.items():
+            for a in range(top):
+                capped = list(sums)
+                for t in hits:
+                    capped[t] = min(capped[t] + a, k)
+                grown.setdefault(tuple(capped), alpha + (a,))
+        states = grown
+    free_mask = ((1 << len(rho)) - 1) & ~cos_mask
+    first = {}  # short primes -> first alpha
+    for sums, alpha in states.items():
+        first.setdefault(tuple(p for p, s in zip(live, sums) if s < k), alpha)
+    for short, alpha in first.items():
+        yield alpha, _reduce_to_facets(free_mask & ~p for p in short)
 
 
 # typed caches, so that char=2.0 misses the entry of char=2 and still
@@ -138,42 +174,51 @@ def _takayama_facets_prime_power(prime_masks, k, sums, cos_mask, free_mask):
 @functools.lru_cache(maxsize=None, typed=True)
 def depth_via_takayama(ideal, char=0):
     """Depth of S/I as the least cohomological degree with a nonvanishing
-    witness multidegree, searched over the finite exponent box."""
+    witness multidegree, searched over the finite exponent box.
+
+    The witness is the first multidegree of the scan (cosupports by size,
+    then in lex order; alpha_plus in lex order) that reaches the least
+    degree.  When I is an intersection of prime powers, each cosupport
+    takes one multidegree per distinct set of short primes, not every
+    multidegree of the box.  A principal ideal (x^a) has depth n - 1 with
+    the witness the scan would find: alpha_plus = 0 and the cosupport
+    outside supp(a), where the complex is the boundary of the simplex on
+    supp(a)."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.n
     if ideal.is_zero:
         return DepthWitness(depth=n, engine="takayama", char=char)
+    if len(ideal.gens) == 1:
+        supp = support(ideal.gens[0])
+        return DepthWitness(
+            depth=n - 1,
+            engine="takayama",
+            char=char,
+            alpha_plus=(0,) * n,
+            cosupport=tuple(j for j in range(n) if j not in supp),
+            homology_index=len(supp) - 2,
+        )
 
     rho = ideal.generator_degree_bounds()
     structure = ideal.prime_structure()
     if structure is not None:
         primes, k = structure
         prime_masks = [mask_of(p) for p in primes]
-        prime_vars = [sorted(p) for p in primes]
 
     best = None  # (i, csize, cosupport tuple, alpha_plus, homology index)
-    full_mask = (1 << n) - 1
     for csize in range(0, n + 1):
         if best is not None and best[0] <= csize:
             break
         for cosupport in itertools.combinations(range(n), csize):
-            cos_mask = mask_of(cosupport)
-            free_mask = full_mask & ~cos_mask
-            ranges = [
-                range(max(rho[j], 1)) if not cos_mask >> j & 1 else range(1)
-                for j in range(n)
-            ]
-            for alpha in itertools.product(*ranges):
-                if structure is not None:
-                    sums = [sum(alpha[i] for i in vs) for vs in prime_vars]
-                    facets = _takayama_facets_prime_power(
-                        prime_masks, k, sums, cos_mask, free_mask
-                    )
-                else:
-                    pair = DegreePair(alpha, frozenset(cosupport))
-                    facets = takayama_complex(ideal, pair).facets
+            if structure is None:
+                complexes = _generic_complexes(ideal, rho, cosupport)
+            else:
+                complexes = _prime_power_complexes(
+                    prime_masks, k, rho, mask_of(cosupport)
+                )
+            for alpha, facets in complexes:
                 dims = _homology_dims(facets, char)
                 if not dims:
                     continue

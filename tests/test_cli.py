@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,18 @@ class TestDepthCommand:
         code, out, _ = run(capsys, ["depth", triangle_file, "--format", "table"])
         assert code == 0
         assert "depth" in out and "1" in out
+
+    def test_principal_ideal_in_many_variables(self, tmp_path, capsys):
+        path = tmp_path / "principal.json"
+        path.write_text(json.dumps({"n": 40, "generators": [[1] * 40]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["depth", str(path), "--engine", "takayama"])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out) == {
+            "depth": 39, "engine": "takayama", "char": 0,
+            "alpha_plus": [0] * 40, "cosupport": [], "homology_index": 38,
+        }
 
 
 class TestBettiCommand:

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import random
 
@@ -17,7 +18,13 @@ from symdepth import (
     upper_koszul_complex,
     zero_ideal,
 )
-from symdepth.complexes import SimplicialComplex, homology_dims, mask_of, submasks
+from symdepth.complexes import (
+    SimplicialComplex,
+    _reduce_to_facets,
+    homology_dims,
+    mask_of,
+    submasks,
+)
 from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
 from symdepth.monomial import divides, lcm_exp, support
@@ -347,6 +354,138 @@ def reference_takayama_witness(ideal, char=0):
     i, cosupport, alpha, h_index = best
     return DepthWitness(depth=i, engine="takayama", char=char, alpha_plus=alpha,
                         cosupport=cosupport, homology_index=h_index)
+
+
+_reference_homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
+
+
+def reference_depth_via_takayama(ideal, char=0):
+    """The full box scan: with a prime-power form, the short primes are
+    read off the exponent sums at every alpha of the box, however often
+    the sums repeat; otherwise takayama_complex at every alpha."""
+    n = ideal.n
+    if ideal.is_zero:
+        return DepthWitness(depth=n, engine="takayama", char=char)
+    rho = ideal.generator_degree_bounds()
+    structure = ideal.prime_structure()
+    if structure is not None:
+        primes, k = structure
+        prime_masks = [mask_of(p) for p in primes]
+        prime_vars = [sorted(p) for p in primes]
+    best = None  # (i, csize, cosupport tuple, alpha_plus, homology index)
+    full_mask = (1 << n) - 1
+    for csize in range(0, n + 1):
+        if best is not None and best[0] <= csize:
+            break
+        for cosupport in itertools.combinations(range(n), csize):
+            cos_mask = mask_of(cosupport)
+            free_mask = full_mask & ~cos_mask
+            ranges = [
+                range(max(rho[j], 1)) if not cos_mask >> j & 1 else range(1)
+                for j in range(n)
+            ]
+            for alpha in itertools.product(*ranges):
+                if structure is not None:
+                    sums = [sum(alpha[i] for i in vs) for vs in prime_vars]
+                    facets = _reduce_to_facets(
+                        free_mask & ~p_mask for p_mask, s in zip(prime_masks, sums)
+                        if s < k and not p_mask & cos_mask
+                    )
+                else:
+                    pair = DegreePair(alpha, frozenset(cosupport))
+                    facets = takayama_complex(ideal, pair).facets
+                dims = _reference_homology_dims(facets, char)
+                if not dims:
+                    continue
+                i = min(dims) + csize + 1
+                if best is None or i < best[0]:
+                    best = (i, csize, cosupport, alpha, i - csize - 1)
+    i, _, cosupport, alpha, h_index = best
+    return DepthWitness(depth=i, engine="takayama", char=char, alpha_plus=alpha,
+                        cosupport=cosupport, homology_index=h_index)
+
+
+def _assert_same_witness(ideal, char):
+    assert depth_via_takayama(ideal, char).to_dict() == \
+        reference_depth_via_takayama(ideal, char).to_dict()
+
+
+class TestTakayamaBoxScanReference:
+    def test_symbolic_powers_of_corpus(self):
+        for I in corpus():
+            for k in (1, 2, 3):
+                for char in (0, 2):
+                    _assert_same_witness(I.symbolic_power(k), char)
+
+    def test_non_squarefree_ideals(self):
+        for J in non_squarefree_corpus():
+            for char in (0, 2):
+                _assert_same_witness(J, char)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_cycles(self, n):
+        for k in (1, 2):
+            for char in (0, 2):
+                _assert_same_witness(cycle(n).symbolic_power(k), char)
+
+    def test_capped_sums_reached_by_several_degrees(self):
+        # the witness's capped prime sums are reached by more than one
+        # degree of the box, so only the lex-first one matches the scan
+        J = ideal([(0, 0, 0, 1, 0, 0), (0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 1, 0),
+                   (1, 0, 1, 0, 0, 0)], 6).symbolic_power(3)
+        for char in (0, 2):
+            _assert_same_witness(J, char)
+        assert depth_via_takayama(J).alpha_plus == (1, 0, 1, 1, 0, 0)
+
+    def test_first_degree_of_each_short_prime_set(self):
+        # at every cosupport: the first degree of the box, in scan order,
+        # for each set of short primes, and nothing else
+        engine = importlib.import_module("symdepth.depth")
+        for I in random.Random(44).sample(corpus(), 30):
+            J = I.symbolic_power(3)
+            primes, k = J.prime_structure()
+            masks = [mask_of(p) for p in primes]
+            rho = J.generator_degree_bounds()
+            for cos_mask in range(1 << I.n):
+                first = {}
+                for alpha in itertools.product(*(
+                    range(1) if cos_mask >> j & 1 else range(max(r, 1))
+                    for j, r in enumerate(rho)
+                )):
+                    short = tuple(
+                        p for p in masks if not p & cos_mask
+                        and sum(a for j, a in enumerate(alpha) if p >> j & 1) < k
+                    )
+                    first.setdefault(short, alpha)
+                kept = engine._prime_power_complexes(masks, k, rho, cos_mask)
+                assert [alpha for alpha, _ in kept] == list(first.values())
+
+    def test_principal_ideals(self):
+        # the one-generator shortcut against the scan, which finds the
+        # same witness at the cosupport outside the generator's support
+        rng = random.Random(39)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            g = random_monomial(rng, n, 3 if n <= 4 else 2)
+            if not any(g):
+                continue
+            for char in (0, 2):
+                _assert_same_witness(ideal([g], n), char)
+
+    def test_facet_reductions_on_cycle_10_square(self, monkeypatch):
+        engine = importlib.import_module("symdepth.depth")
+        reduced = []
+
+        def counted(masks):
+            reduced.append(1)
+            return _reduce_to_facets(masks)
+
+        monkeypatch.setattr(engine, "_reduce_to_facets", counted)
+        witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
+        # one reduction per distinct short-prime set at each cosupport;
+        # the box scan made one per multidegree, 17,664
+        assert len(reduced) == 1114
+        assert witness.depth == 3
 
 
 class TestEngineAgreementRandom:

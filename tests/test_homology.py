@@ -1,9 +1,14 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from symdepth.homology import matrix_rank
+from symdepth import depth_via_takayama
+from symdepth.complexes import SimplicialComplex
+from symdepth.homology import matrix_rank, reduced_homology_from_faces
+
+from _corpus import corpus
 
 
 def reference_rank(rows, char):
@@ -88,3 +93,34 @@ class TestMatrixRank:
     ])
     def test_field_dependent_ranks(self, rows, char, rank):
         assert _checked_rank(rows, char) == rank
+
+
+class TestEngineComplexes:
+    def test_euler_characteristic_and_reference_ranks(self, monkeypatch):
+        # On every complex the Takayama engine asks about: the alternating
+        # sum of the reduced Betti numbers is the reduced Euler
+        # characteristic, counted from the faces without any rank (both
+        # sides negated, so that H_-1 and the empty face take integer
+        # signs).  The ranks cancel from that sum, so the dims are also
+        # taken again with reference_rank in place of matrix_rank.
+        engine = importlib.import_module("symdepth.depth")
+        homology = engine._homology_dims
+        answered = {}
+
+        def recorded(facets, char):
+            answered[facets, char] = homology(facets, char)
+            return answered[facets, char]
+
+        monkeypatch.setattr(engine, "_homology_dims", recorded)
+        for I in random.Random(43).sample(corpus(), 50):
+            for k in (1, 2):
+                for char in (0, 2):
+                    depth_via_takayama.__wrapped__(I.symbolic_power(k), char)
+        assert len(answered) > 100
+        monkeypatch.setattr("symdepth.homology.matrix_rank", reference_rank)
+        for (facets, char), dims in answered.items():
+            complex_ = SimplicialComplex(max(facets, default=0).bit_length(), facets)
+            faces = complex_.face_counts()
+            assert sum((-1) ** (i + 1) * d for i, d in dims.items()) == \
+                sum((-1) ** c * count for c, count in faces.items()), facets
+            assert dims == reduced_homology_from_faces(complex_.face_masks(), char)
