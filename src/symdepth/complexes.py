@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .homology import check_char, reduced_homology_from_faces
 from .monomial import _symbolic_power_cached
@@ -63,12 +63,11 @@ def _faces(facets):
     return {face for f in facets for face in submasks(f)}
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(namedtuple("HomologyProfile", "dims char")):
     """Nonzero reduced homology dimensions and the coefficient field used."""
 
-    dims: tuple  # sorted ((index, dim), ...), only nonzero entries
-    char: int
+    __slots__ = ()
+    # dims: sorted ((index, dim), ...), only nonzero entries
 
     def dim(self, i):
         return dict(self.dims).get(i, 0)
@@ -78,10 +77,9 @@ class HomologyProfile:
         return not self.dims
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    n: int
-    facets: tuple  # sorted bitmasks, mutually incomparable
+class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
+    __slots__ = ()
+    # facets: sorted bitmasks, mutually incomparable
 
     @classmethod
     def from_facets(cls, n, facets):

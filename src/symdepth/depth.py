@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import (
     SimplicialComplex,
@@ -37,29 +37,23 @@ class EngineDisagreement(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class DegreePair:
+class DegreePair(namedtuple("DegreePair", "alpha_plus cosupport")):
     """Positive part of a multidegree plus the set of strictly negative
     coordinates; the negative magnitudes never matter."""
 
-    alpha_plus: tuple
-    cosupport: frozenset
+    __slots__ = ()
+    # alpha_plus: tuple; cosupport: frozenset
 
-    def __post_init__(self):
-        if support(self.alpha_plus) & self.cosupport:
+    def __new__(cls, alpha_plus, cosupport):
+        if support(alpha_plus) & cosupport:
             raise ValueError("cosupport must be disjoint from the support of alpha_plus")
+        return super().__new__(cls, alpha_plus, cosupport)
 
 
-@dataclass(frozen=True)
-class DepthWitness:
-    depth: int
-    engine: str
-    char: int
-    alpha_plus: tuple = None
-    cosupport: tuple = None
-    homology_index: int = None
-    betti_index: int = None
-    betti_degree: tuple = None
+class DepthWitness(namedtuple(
+        "DepthWitness", "depth engine char alpha_plus cosupport "
+        "homology_index betti_index betti_degree", defaults=(None,) * 5)):
+    __slots__ = ()
 
     def to_dict(self):
         out = {"depth": self.depth, "engine": self.engine, "char": self.char}
@@ -73,12 +67,11 @@ class DepthWitness:
         return out
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "n entries")):
     """Multigraded Betti numbers of S/I: {(i, multidegree): value}."""
 
-    n: int
-    entries: tuple  # sorted ((i, alpha, value), ...)
+    __slots__ = ()
+    # entries: sorted ((i, alpha, value), ...)
 
     def projective_dimension(self):
         return max(i for i, _, _ in self.entries)

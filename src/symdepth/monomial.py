@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def check_exponents(u, n):
@@ -53,8 +53,7 @@ def grlex_key(u):
     return (sum(u), u)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
     """A monomial ideal given by its minimal generators.
 
     The zero ideal has an empty generator tuple; the unit ideal is
@@ -62,8 +61,7 @@ class MonomialIdeal:
     else, such as a prime-power form, is derived from ``n`` and ``gens``.
     """
 
-    n: int
-    gens: tuple
+    __slots__ = ()
 
     @classmethod
     def from_generators(cls, generators, n):

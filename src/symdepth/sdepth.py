@@ -11,13 +11,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .monomial import MonomialIdeal, grlex_key
 
 INFINITY = math.inf
 
 DEFAULT_NODE_BUDGET = 2_000_000
+
+# Most points of the exponent box characteristic_poset enumerates.  The
+# search keeps two order bitmasks per point, about N**2 / 4 bytes for N
+# points: 64 MiB here, where a 3^11 box would take about 8 GB.
+MAX_BOX_POINTS = 1 << 14
 
 
 def json_value(value):
@@ -26,35 +31,31 @@ def json_value(value):
 
 
 class BudgetExceeded(RuntimeError):
-    """The exact-cover search exceeded its node budget (never silently
+    """The exact-cover search exceeded its node budget, or its exponent
+    box holds more than MAX_BOX_POINTS points (never silently
     approximated)."""
 
 
-@dataclass(frozen=True)
-class CharacteristicPoset:
-    n: int
-    g: tuple
-    points: tuple  # grlex-sorted exponent vectors
-    kind: str  # "ideal" | "quotient"
+class CharacteristicPoset(namedtuple("CharacteristicPoset", "n g points kind")):
+    __slots__ = ()
+    # points: grlex-sorted exponent vectors; kind: "ideal" | "quotient"
 
 
-@dataclass(frozen=True)
-class Interval:
-    a: tuple
-    b: tuple
+class Interval(namedtuple("Interval", "a b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(x > y for x, y in zip(self.a, self.b)):
-            raise ValueError(f"interval bounds out of order: {self.a} > {self.b}")
+    def __new__(cls, a, b):
+        if any(x > y for x, y in zip(a, b)):
+            raise ValueError(f"interval bounds out of order: {a} > {b}")
+        return super().__new__(cls, a, b)
 
     def members(self):
         return itertools.product(*(range(x, y + 1) for x, y in zip(self.a, self.b)))
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    g: tuple
-    intervals: tuple  # canonical order: sorted by grlex of the bottoms
+class IntervalPartition(namedtuple("IntervalPartition", "g intervals")):
+    __slots__ = ()
+    # intervals: canonical order, sorted by grlex of the bottoms
 
     def sdepth(self):
         return min(_rho(iv.b, self.g) for iv in self.intervals)
@@ -69,12 +70,10 @@ class IntervalPartition:
         return seen == set(points)
 
 
-@dataclass(frozen=True)
-class SdepthResult:
-    kind: str
-    value: object  # int or INFINITY
-    g: tuple = None
-    witness: IntervalPartition = None
+class SdepthResult(namedtuple("SdepthResult", "kind value g witness",
+                              defaults=(None, None))):
+    __slots__ = ()
+    # value: int or INFINITY; witness: an IntervalPartition
 
     def to_dict(self):
         out = {"kind": self.kind, "value": json_value(self.value)}
@@ -96,7 +95,8 @@ def characteristic_poset(ideal, kind, g=None):
     ideal (kind="ideal") or outside it (kind="quotient").
 
     ``g`` overrides the box corner (must dominate the default corner);
-    enlarging the box never changes the computed Stanley depth.
+    enlarging the box never changes the computed Stanley depth.  A box of
+    more than MAX_BOX_POINTS points raises BudgetExceeded.
     """
     if kind not in ("ideal", "quotient"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -111,6 +111,10 @@ def characteristic_poset(ideal, kind, g=None):
         g = tuple(g)
         if len(g) != ideal.n or any(a < b for a, b in zip(g, default)):
             raise ValueError(f"box corner {g} must dominate {default}")
+    box = math.prod(b + 1 for b in g)
+    if box > MAX_BOX_POINTS:
+        raise BudgetExceeded(f"characteristic poset box has {box} points, "
+                             f"above the limit of {MAX_BOX_POINTS}")
     points = [c for c in itertools.product(*(range(b + 1) for b in g))
               if ideal.contains(c) == (kind == "ideal")]
     points.sort(key=grlex_key)

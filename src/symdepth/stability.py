@@ -5,7 +5,7 @@ verifiers, and the matroid report."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import complex_of_ideal
 from .depth import depth, depth_via_takayama
@@ -16,13 +16,10 @@ from .sdepth import DEFAULT_NODE_BUDGET, json_value, sdepth, split_by_variable
 QUANTITIES = ("depth", "sdepth_ideal", "sdepth_quotient")
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    quantity: str
-    kmax: int
-    values: tuple  # values[i] is the value at symbolic power i+1
-    char: int
-    engine: str
+class SequenceReport(namedtuple("SequenceReport",
+                                "quantity kmax values char engine")):
+    __slots__ = ()
+    # values[i] is the value at symbolic power i+1
 
     def to_dict(self):
         return {
@@ -34,20 +31,11 @@ class SequenceReport:
         }
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    quantity: str
-    kmax: int
-    values: tuple
-    window_min: int
-    first_attainment: int
-    square_bound: int
-    tail_guarantee: str
-    certified: bool
-    certification_rule: str
-    ell_s_estimate: int = None
-    bight_bound: float = None
-    char: int = 0
+class StabilityReport(namedtuple(
+        "StabilityReport", "quantity kmax values window_min first_attainment "
+        "square_bound tail_guarantee certified certification_rule "
+        "ell_s_estimate bight_bound char", defaults=(None, None, 0))):
+    __slots__ = ()
 
     def to_dict(self):
         out = {
@@ -69,12 +57,11 @@ class StabilityReport:
         return out
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    comparisons: tuple  # per-instance dicts
-    counterexample: dict = None
+class CheckResult(namedtuple("CheckResult",
+                             "name passed comparisons counterexample",
+                             defaults=(None,))):
+    __slots__ = ()
+    # comparisons: per-instance dicts
 
     def to_dict(self):
         out = {
@@ -87,15 +74,10 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class MatroidReport:
-    n: int
-    dim: int
-    ell_s: int
-    rows: tuple
-    all_claims_hold: bool
-    degenerate: bool = False
-    char: int = 0
+class MatroidReport(namedtuple(
+        "MatroidReport", "n dim ell_s rows all_claims_hold degenerate char",
+        defaults=(False, 0))):
+    __slots__ = ()
 
     def to_dict(self):
         return {

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from symdepth import MonomialIdeal, formats
 from symdepth.cli import main
 
 TRIANGLE_JSON = json.dumps(
@@ -29,6 +34,24 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the CLI in a fresh interpreter whose address space is capped at 1 GiB, so
+# that a run without a memory bound fails fast instead of filling the machine
+LIMITED_MAIN = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "from symdepth.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_python(code, *args):
+    """Run `python -c code args` with this checkout's package first."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestDepthCommand:
@@ -102,6 +125,20 @@ class TestSdepthCommand:
         code, _, err = run(capsys, ["sdepth", triangle_file, "--budget", "1"])
         assert code == 4
         assert "budget" in err or "nodes" in err
+
+    def test_box_too_large_exits_4(self, tmp_path):
+        # (x2, ..., x12)^(2) in 12 variables: a 3^11 box, whose order masks
+        # alone would take about 8 GB
+        prime = [tuple(int(j == i) for j in range(12)) for i in range(1, 12)]
+        power = MonomialIdeal.from_generators(prime, 12).symbolic_power(2)
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(formats.ideal_to_json(power)))
+        start = time.perf_counter()
+        result = run_python(LIMITED_MAIN, "sdepth", str(path))
+        assert time.perf_counter() - start < 2
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert "177147 points" in result.stderr
 
 
 class TestSymbolicPowerCommand:
@@ -379,3 +416,11 @@ class TestErrorHandling:
         assert code == 3
         assert out == ""
         assert "internal error" in err and type(exc).__name__ in err
+
+
+class TestStartup:
+    def test_import_skips_dataclasses_and_inspect(self):
+        result = run_python("import sys, symdepth.cli; print(sorted("
+                            "{'dataclasses', 'inspect'} & set(sys.modules)))")
+        assert result.returncode == 0
+        assert result.stdout == "[]\n"

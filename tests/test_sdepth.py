@@ -15,7 +15,7 @@ from symdepth import (
     unit_ideal,
     zero_ideal,
 )
-from symdepth.sdepth import DEFAULT_NODE_BUDGET, _Budget
+from symdepth.sdepth import DEFAULT_NODE_BUDGET, MAX_BOX_POINTS, _Budget
 from _corpus import (
     corpus,
     cycle,
@@ -281,6 +281,16 @@ class TestBudget:
             sdepth(zero_ideal(3), "ideal", node_budget=0)
         with pytest.raises(ValueError, match="node budget"):
             _Budget(-3)
+
+    def test_box_limit(self):
+        # (x1^a): the box has a + 1 points, the ideal's poset just one
+        at_limit = MonomialIdeal(1, ((MAX_BOX_POINTS - 1,),))
+        assert sdepth(at_limit, "ideal").value == 1
+        over = MonomialIdeal(1, ((MAX_BOX_POINTS,),))
+        with pytest.raises(BudgetExceeded, match=f"{MAX_BOX_POINTS + 1} points"):
+            characteristic_poset(over, "ideal")
+        with pytest.raises(BudgetExceeded, match="box"):
+            characteristic_poset(TRIANGLE, "quotient", g=(MAX_BOX_POINTS,) * 3)
 
 
 def _levels(poset, budget):
