@@ -97,7 +97,8 @@ def build_parser():
         if budget:
             p.add_argument("--budget", type=_checked(check_budget),
                            default=DEFAULT_NODE_BUDGET,
-                           help="node limit for the Stanley depth search")
+                           help="node limit for the Stanley depth search, "
+                                "and again for its splitting fallback")
 
     p = sub.add_parser("depth", help="depth of S/I")
     p.add_argument("ideal")

@@ -22,7 +22,8 @@ from .complexes import (
     vertices_of,
 )
 from .homology import check_char
-from .monomial import check_exponents, divides, support
+from .monomial import check_exponents, divides, divisor_masks, support
+from .sdepth import check_box
 
 
 class EngineDisagreement(RuntimeError):
@@ -263,7 +264,9 @@ def betti_table(ideal, char=0):
     generator with g_i = alpha_i, every slack set contains i and the
     complex is a cone.  Bitmasks over generator indices, built once per
     call, give the dividing generators and this test with n ANDs per box
-    point; complexes are built only at the remaining lattice points."""
+    point; complexes are built only at the remaining lattice points.  A
+    box of more than MAX_BOX_POINTS points raises BudgetExceeded before
+    the scan."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
@@ -272,12 +275,8 @@ def betti_table(ideal, char=0):
     if not ideal.is_zero:
         gens = ideal.gens
         box = ideal.generator_degree_bounds()
-        # at_most[i][v] / exactly[i][v]: generators with g_i <= v / g_i == v
-        exactly = [[0] * (b + 1) for b in box]
-        for j, g in enumerate(gens):
-            for i, a in enumerate(g):
-                exactly[i][a] |= 1 << j
-        at_most = [list(itertools.accumulate(row, int.__or__)) for row in exactly]
+        check_box(box, "Betti lcm")
+        exactly, at_most = divisor_masks(gens, box)
         every = (1 << len(gens)) - 1
         for alpha in itertools.product(*(range(b + 1) for b in box)):
             divisors = every

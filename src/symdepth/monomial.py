@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 
 
@@ -51,6 +52,19 @@ def support(u):
 
 def grlex_key(u):
     return (sum(u), u)
+
+
+def divisor_masks(gens, bounds):
+    """Bitmasks over generator indices: exactly[i][v] holds the generators
+    with g_i == v and at_most[i][v] those with g_i <= v, for v up to
+    bounds[i].  The generators dividing a box point c are the AND of
+    at_most[i][c_i] over i."""
+    exactly = [[0] * (b + 1) for b in bounds]
+    for j, g in enumerate(gens):
+        for i, a in enumerate(g):
+            exactly[i][a] |= 1 << j
+    return exactly, [list(itertools.accumulate(row, operator.or_))
+                     for row in exactly]
 
 
 class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):

@@ -3,26 +3,39 @@
 The computation reduces to partitioning a finite poset of exponent
 vectors (the characteristic poset over the box spanned by the generator
 degrees) into intervals, following Herzog-Vladoiu-Zheng.  The partition
-search is an exact backtracking cover with a hard node budget.
+search is an exact backtracking cover with a hard node budget.  It starts
+at an upper bound found by counting, and where it runs out of budget a
+splitting along the variables may still supply a witness.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from collections import namedtuple
 
-from .monomial import MonomialIdeal, grlex_key
+from .monomial import MonomialIdeal, divisor_masks, grlex_key
 
 INFINITY = math.inf
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
-# Most points of the exponent box characteristic_poset enumerates.  The
-# search keeps two order bitmasks per point, about N**2 / 4 bytes for N
-# points: 64 MiB here, where a 3^11 box would take about 8 GB.
+# Most points of an exponent box that characteristic_poset or betti_table
+# enumerates.  The search keeps two order bitmasks per point, about
+# N**2 / 4 bytes for N points: 64 MiB here, where a 3^11 box would take
+# about 8 GB.
 MAX_BOX_POINTS = 1 << 14
+
+# The counting bound works in the polarized ring, with sum(g) variables,
+# at a cost that grows with the square of their number; above this many
+# the search starts at n instead.
+MAX_POLARIZED_VARIABLES = 64
+
+# A part of the splitting with at most this many poset points is searched
+# directly; a larger one is split again.
+SPLIT_SEARCH_POINTS = 32
 
 
 def json_value(value):
@@ -111,14 +124,24 @@ def characteristic_poset(ideal, kind, g=None):
         g = tuple(g)
         if len(g) != ideal.n or any(a < b for a, b in zip(g, default)):
             raise ValueError(f"box corner {g} must dominate {default}")
-    box = math.prod(b + 1 for b in g)
-    if box > MAX_BOX_POINTS:
-        raise BudgetExceeded(f"characteristic poset box has {box} points, "
-                             f"above the limit of {MAX_BOX_POINTS}")
-    points = [c for c in itertools.product(*(range(b + 1) for b in g))
-              if ideal.contains(c) == (kind == "ideal")]
+    check_box(g, "characteristic poset")
+    # (point, generators dividing it) over the box, in itertools.product
+    # order, one coordinate at a time
+    cells = [((), (1 << len(ideal.gens)) - 1)]
+    for row in divisor_masks(ideal.gens, g)[1]:
+        cells = [(c + (v,), m & r) for c, m in cells for v, r in enumerate(row)]
+    inside = kind == "ideal"
+    points = [c for c, m in cells if (m != 0) == inside]
     points.sort(key=grlex_key)
     return CharacteristicPoset(ideal.n, g, tuple(points), kind)
+
+
+def check_box(g, what):
+    """Refuse an exponent box [0, g] of more than MAX_BOX_POINTS points."""
+    box = math.prod(b + 1 for b in g)
+    if box > MAX_BOX_POINTS:
+        raise BudgetExceeded(f"{what} box has {box} points, "
+                             f"above the limit of {MAX_BOX_POINTS}")
 
 
 def check_budget(limit):
@@ -167,7 +190,20 @@ def sdepth_at_least(poset, s, budget=None):
             up[i] &= at_least[p[t]]
             down[i] &= at_most[p[t]]
     high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
+    size = [sum(p) for p in points]
     failed = set()
+    candidates = {}
+
+    def tops_of(a):
+        """(b, [a, b]) for each top b, in index order, whose interval lies
+        wholly in the poset: it holds as many points as its box."""
+        tops = []
+        for b in _bits(up[a] & high):
+            interval = up[a] & down[b]
+            if interval.bit_count() == math.prod(
+                    y - x + 1 for x, y in zip(points[a], points[b])):
+                tops.append((b, interval))
+        return tops
 
     def search(uncovered):
         budget.tick()
@@ -179,18 +215,18 @@ def sdepth_at_least(poset, s, budget=None):
         for a in _bits(uncovered):
             if down[a] & uncovered != 1 << a:
                 continue  # a is not minimal
-            # [a, b] lies in uncovered iff it holds as many points as its box
-            tops = [b for b in _bits(up[a] & high & uncovered)
-                    if (up[a] & down[b] & uncovered).bit_count() == math.prod(
-                        y - x + 1 for x, y in zip(points[a], points[b]))]
+            if a not in candidates:
+                candidates[a] = tops_of(a)
+            tops = [(b, interval) for b, interval in candidates[a]
+                    if interval & uncovered == interval]
             if not tops:
                 failed.add(uncovered)
                 return None
             if best_tops is None or len(tops) < len(best_tops):
                 best_a, best_tops = a, tops
         # larger intervals first; the stable sort keeps grlex order on ties
-        for b in sorted(best_tops, key=lambda b: -sum(points[b])):
-            rest = search(uncovered & ~(up[best_a] & down[b]))
+        for b, interval in sorted(best_tops, key=lambda top: -size[top[0]]):
+            rest = search(uncovered & ~interval)
             if rest is not None:
                 return [(best_a, b)] + rest
         failed.add(uncovered)
@@ -201,6 +237,48 @@ def sdepth_at_least(poset, s, budget=None):
         return None
     return IntervalPartition(
         g, tuple(Interval(points[a], points[b]) for a, b in sorted(found)))
+
+
+def polarized_f_vector(poset):
+    """f[r]: the points with r elements in the squarefree poset of the
+    polarization, where coordinate i becomes g_i variables and a set
+    maps to the point whose c_i is the length of its run from the first
+    variable of coordinate i.  Point c then weighs the product over i of
+    t^c_i (1 + t)^(g_i - c_i - 1) below the corner and t^g_i at it, which
+    is t^|c| (1 + t)^(sum(g) - n + rho(c) - |c|)."""
+    g = poset.g
+    shift = sum(g) - poset.n
+    f = [0] * (sum(g) + 1)
+    weights = collections.Counter((sum(c), _rho(c, g)) for c in poset.points)
+    for (d, rho), count in weights.items():
+        m = shift + rho - d
+        for j in range(m + 1):
+            f[d + j] += count * math.comb(m, j)
+    return f
+
+
+def counting_bound(poset):
+    """An upper bound on the Stanley depth of the poset.
+
+    Polarization adds sum(g) - n to the Stanley depth (Ichim-Katthan-
+    Moyano-Fernandez).  A squarefree poset with a partition whose tops all
+    have at least s elements has one whose points of at most s elements
+    lie in intervals with tops of exactly s elements, so its f-vector is
+    f_r = sum_t h_t C(s - t, r - t) with every h_t >= 0 (Keller-Shen-
+    Streib-Young).  The bound is the largest level where that holds; n
+    when the polarized ring is too large to count."""
+    shift = sum(poset.g) - poset.n
+    if shift + poset.n > MAX_POLARIZED_VARIABLES:
+        return poset.n
+    f = polarized_f_vector(poset)
+    for s in range(poset.n, 0, -1):
+        top = s + shift  # reaches 0 at s = n - sum(g) when that is >= 1
+        if all(
+                sum((-1) ** (r - t) * math.comb(top - t, r - t) * f[t]
+                    for t in range(r + 1)) >= 0
+                for r in range(top + 1)):
+            return s
+    return 0
 
 
 def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
@@ -217,12 +295,120 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def sdepth_from_poset(poset, node_budget=DEFAULT_NODE_BUDGET):
-    """Best worst interval dimension over all partitions of the poset."""
+    """Best worst interval dimension over all partitions of the poset.
+
+    The levels from the counting bound down are searched with one node
+    budget.  Where it runs out at level s, every level above s has failed
+    or lies above the bound, so a splitting witness at s, found with a
+    second budget of the same size, still decides the value."""
     budget = _Budget(node_budget)
-    for s in range(poset.n, -1, -1):  # singletons always cover at s = 0
-        witness = sdepth_at_least(poset, s, budget)
+    for s in range(counting_bound(poset), -1, -1):  # singletons cover at 0
+        try:
+            witness = sdepth_at_least(poset, s, budget)
+        except BudgetExceeded:
+            witness = splitting_witness(poset, s, node_budget)
+            if witness is None:
+                raise
         if witness is not None:
             return SdepthResult(poset.kind, s, poset.g, witness)
+
+
+def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
+    """An interval partition of the poset with every top rank >= s, built
+    by splitting its module along the variables, or None if none was
+    found within the node budget.
+
+    Along x_i the monomials of I (or outside I) are those of the part
+    without x_i, an ideal in n - 1 variables, and x_i times those of
+    (I : x_i) (Rauf).  The parts are split again, and a part with at most
+    SPLIT_SEARCH_POINTS points is searched at level s.  Each interval
+    [c, d] of a part's partition gives the Stanley spaces x^e K[Z_d]
+    (Herzog-Vladoiu-Zheng), which are shifted, embedded and cut back to
+    the box of the poset.  Each part costs one node."""
+    budget = _Budget(node_budget)
+    ideal = MonomialIdeal.from_generators(_minimal_generators(poset), poset.n)
+    try:
+        spaces = _split(ideal, poset.kind, s, budget, {})
+    except BudgetExceeded:
+        return None
+    if spaces is None:
+        return None
+    g = poset.g  # e <= g: a part's box, shifted by x_i, lies in its parent's
+    intervals = sorted(
+        (Interval(e, tuple(b if free else a for a, b, free in zip(e, g, z)))
+         for e, z in spaces),
+        key=lambda iv: grlex_key(iv.a))
+    witness = IntervalPartition(g, tuple(intervals))
+    if not (witness.is_exact_cover_of(poset.points) and witness.sdepth() >= s):
+        raise RuntimeError("splitting produced no interval partition of the "
+                           "poset")
+    return witness
+
+
+def _minimal_generators(poset):
+    """The minimal points of the box [0, g] that lie in the ideal."""
+    if poset.kind == "ideal":
+        inside = set(poset.points)
+    else:
+        outside = set(poset.points)
+        inside = {c for c in itertools.product(*(range(b + 1) for b in poset.g))
+                  if c not in outside}
+    return [c for c in inside if not any(
+        c[:i] + (x - 1,) + c[i + 1:] in inside for i, x in enumerate(c) if x)]
+
+
+def _split(ideal, kind, s, budget, parts):
+    """Stanley spaces (e, z) of the module, z the 0/1 vector of the free
+    variables, each with at least s of them, from the first variable whose
+    split parts both reach s; None if no variable does."""
+    bounds = ideal.generator_degree_bounds()
+    for i in range(ideal.n):
+        if not bounds[i]:
+            continue  # (I : x_i) = I
+        restriction, colon = split_by_variable(ideal, i)
+        lower = _cover(restriction, kind, s, budget, parts)
+        if lower is None:
+            continue
+        upper = _cover(colon, kind, s, budget, parts)
+        if upper is None:
+            continue
+        return ([(e[:i] + (0,) + e[i:], z[:i] + (0,) + z[i:])
+                 for e, z in lower]
+                + [(e[:i] + (e[i] + 1,) + e[i + 1:], z) for e, z in upper])
+    return None
+
+
+def _cover(ideal, kind, s, budget, parts):
+    """Stanley spaces of one part, as _split returns them, or None;
+    memoized in parts for the splitting at level s."""
+    if ideal in parts:
+        return parts[ideal]
+    budget.tick()
+    if kind == "ideal" and ideal.is_zero or kind == "quotient" and ideal.is_unit:
+        spaces = []  # the zero module
+    elif s > ideal.n:
+        spaces = None
+    else:
+        poset = characteristic_poset(ideal, kind)
+        if len(poset.points) > SPLIT_SEARCH_POINTS and ideal.n > 1:
+            spaces = _split(ideal, kind, s, budget, parts)
+        else:
+            witness = sdepth_at_least(poset, s, budget)
+            spaces = None if witness is None else [
+                (e, z) for iv in witness.intervals
+                for e, z in _stanley_spaces(iv, poset.g)]
+    parts[ideal] = spaces
+    return spaces
+
+
+def _stanley_spaces(interval, g):
+    """The Stanley spaces x^e K[Z] of an interval [c, d] of the box [0, g]:
+    Z holds the coordinates where d touches g, and e runs over [c, d] with
+    e = c on Z."""
+    z = tuple(int(y == b) for y, b in zip(interval.b, g))
+    ranges = [(x,) if free else range(x, y + 1)
+              for x, y, free in zip(interval.a, interval.b, z)]
+    return [(e, z) for e in itertools.product(*ranges)]
 
 
 def split_by_variable(ideal, i):

@@ -9,6 +9,7 @@ import pytest
 
 from symdepth import MonomialIdeal, formats
 from symdepth.cli import main
+from _corpus import cycle
 
 TRIANGLE_JSON = json.dumps(
     {"n": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}
@@ -106,6 +107,21 @@ class TestBettiCommand:
         assert data["total"] == {"0": 1, "1": 3, "2": 2}
         assert data["projective_dimension"] == 2
 
+    @pytest.mark.parametrize("argv", [["depth", "--engine", "betti"],
+                                      ["betti"]])
+    def test_box_too_large_exits_4(self, tmp_path, argv):
+        # (x2, ..., x12)^(2): the Betti engine would scan a 3^11 lcm box
+        prime = [tuple(int(j == i) for j in range(12)) for i in range(1, 12)]
+        power = MonomialIdeal.from_generators(prime, 12).symbolic_power(2)
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(formats.ideal_to_json(power)))
+        start = time.perf_counter()
+        result = run_python(LIMITED_MAIN, argv[0], str(path), *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert result.returncode == 4
+        assert result.stdout == ""
+        assert "Betti lcm box has 177147 points" in result.stderr
+
 
 class TestSdepthCommand:
     def test_ideal_kind(self, triangle_file, capsys):
@@ -139,6 +155,29 @@ class TestSdepthCommand:
         assert result.returncode == 4
         assert result.stdout == ""
         assert "177147 points" in result.stderr
+
+    def test_frontier_quotient_decided_by_splitting(self, tmp_path, capsys):
+        # the search runs out of its 1000 nodes at the counting bound 2, and
+        # the splitting finds a witness there with a second budget
+        path = tmp_path / "c6_sym2.json"
+        power = cycle(6).symbolic_power(2)
+        path.write_text(json.dumps(formats.ideal_to_json(power)))
+        code, out, _ = run(capsys, ["sdepth", str(path), "--kind", "quotient",
+                                    "--budget", "1000"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == 2
+        assert len(data["intervals"]) == 33
+
+    def test_frontier_ideal_still_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "c6_sym2.json"
+        power = cycle(6).symbolic_power(2)
+        path.write_text(json.dumps(formats.ideal_to_json(power)))
+        code, out, err = run(capsys, ["sdepth", str(path), "--kind", "ideal",
+                                      "--budget", "1000"])
+        assert code == 4
+        assert out == ""
+        assert "exceeded 1000 nodes" in err
 
 
 class TestSymbolicPowerCommand:

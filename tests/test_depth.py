@@ -6,6 +6,7 @@ import random
 import pytest
 
 from symdepth import (
+    BudgetExceeded,
     DegreePair,
     EngineDisagreement,
     MonomialIdeal,
@@ -27,6 +28,7 @@ from symdepth.complexes import (
 )
 from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
+from symdepth.sdepth import MAX_BOX_POINTS
 from symdepth.monomial import divides, lcm_exp, support
 
 from _corpus import (
@@ -128,6 +130,15 @@ class TestBettiTable:
         gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         table = betti_table(ideal(gens, n))
         assert table.total() == {i: comb(n, i) for i in range(n + 1)}
+
+    def test_box_limit(self):
+        # (x1^a): the lcm box has a + 1 points, the same limit as sdepth's
+        at_limit = MonomialIdeal(1, ((MAX_BOX_POINTS - 1,),))
+        assert betti_table(at_limit).total() == {0: 1, 1: 1}
+        over = MonomialIdeal(1, ((MAX_BOX_POINTS,),))
+        with pytest.raises(BudgetExceeded,
+                           match=f"lcm box has {MAX_BOX_POINTS + 1} points"):
+            betti_table(over)
 
 
 def reference_betti_table(ideal, char=0):

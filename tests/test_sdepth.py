@@ -1,3 +1,8 @@
+import functools
+import importlib
+import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -6,7 +11,9 @@ from symdepth import (
     INFINITY,
     BudgetExceeded,
     Interval,
+    IntervalPartition,
     MonomialIdeal,
+    SdepthResult,
     characteristic_poset,
     sdepth,
     sdepth_at_least,
@@ -15,7 +22,15 @@ from symdepth import (
     unit_ideal,
     zero_ideal,
 )
-from symdepth.sdepth import DEFAULT_NODE_BUDGET, MAX_BOX_POINTS, _Budget
+from symdepth.sdepth import (
+    DEFAULT_NODE_BUDGET,
+    MAX_BOX_POINTS,
+    _Budget,
+    _rho,
+    counting_bound,
+    polarized_f_vector,
+    splitting_witness,
+)
 from _corpus import (
     corpus,
     cycle,
@@ -57,6 +72,21 @@ class TestCharacteristicPoset:
                 total *= x + 1
             assert len(a.points) + len(b.points) == total
             assert not set(a.points) & set(b.points)
+
+    def test_matches_membership_scan(self):
+        # the generator bitmasks keep the points and their grlex order
+        rng = random.Random(54)
+        for I in rng.sample(corpus(), 40):
+            J = I.symbolic_power(rng.randint(1, 3))
+            g = tuple(b + rng.randint(0, 1)
+                      for b in J.generator_degree_bounds())
+            box = list(itertools.product(*(range(b + 1) for b in g)))
+            for kind in ("ideal", "quotient"):
+                expected = sorted(
+                    (c for c in box if J.contains(c) == (kind == "ideal")),
+                    key=lambda c: (sum(c), c))
+                assert characteristic_poset(J, kind, g).points == tuple(
+                    expected)
 
     def test_principal_ideal_poset(self):
         poset = characteristic_poset(ideal([(1, 0)], 2), "ideal")
@@ -329,3 +359,253 @@ class TestSearchOrder:
         with pytest.raises(BudgetExceeded):
             _levels(poset, budget)
         assert budget.nodes == 1001
+
+
+def reference_sdepth_at_least(poset, s, budget):
+    """The interval-partition search as it was before candidate tops were
+    cached per bottom: each node recomputes every interval's box size."""
+    g, points = poset.g, poset.points
+    up, down = [-1] * len(points), [-1] * len(points)
+    for t, corner in enumerate(g):
+        at = [0] * (corner + 1)
+        for i, p in enumerate(points):
+            at[p[t]] |= 1 << i
+        at_most = list(itertools.accumulate(at, operator.or_))
+        at_least = list(itertools.accumulate(at[::-1], operator.or_))[::-1]
+        for i, p in enumerate(points):
+            up[i] &= at_least[p[t]]
+            down[i] &= at_most[p[t]]
+    high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
+    failed = set()
+
+    def bits(mask):
+        while mask:
+            yield (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+
+    def search(uncovered):
+        budget.tick()
+        if not uncovered:
+            return []
+        if uncovered in failed:
+            return None
+        best_a, best_tops = None, None
+        for a in bits(uncovered):
+            if down[a] & uncovered != 1 << a:
+                continue
+            tops = [b for b in bits(up[a] & high & uncovered)
+                    if (up[a] & down[b] & uncovered).bit_count() == math.prod(
+                        y - x + 1 for x, y in zip(points[a], points[b]))]
+            if not tops:
+                failed.add(uncovered)
+                return None
+            if best_tops is None or len(tops) < len(best_tops):
+                best_a, best_tops = a, tops
+        for b in sorted(best_tops, key=lambda b: -sum(points[b])):
+            rest = search(uncovered & ~(up[best_a] & down[b]))
+            if rest is not None:
+                return [(best_a, b)] + rest
+        failed.add(uncovered)
+        return None
+
+    found = search((1 << len(points)) - 1)
+    if found is None:
+        return None
+    return IntervalPartition(
+        g, tuple(Interval(points[a], points[b]) for a, b in sorted(found)))
+
+
+def reference_sdepth_from_poset(poset, node_budget=DEFAULT_NODE_BUDGET):
+    """The level loop as it was before the counting bound: s = n, n - 1,
+    ... with one budget.  Returns the result and the nodes used."""
+    budget = _Budget(node_budget)
+    for s in range(poset.n, -1, -1):
+        witness = reference_sdepth_at_least(poset, s, budget)
+        if witness is not None:
+            return SdepthResult(poset.kind, s, poset.g, witness), budget.nodes
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every node budget sdepth_from_poset makes, in order."""
+    made = []
+    module = importlib.import_module("symdepth.sdepth")
+
+    class Recorded(module._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(module, "_Budget", Recorded)
+    return made
+
+
+def brute_polarized_f_vector(ideal, kind, g):
+    """Sets of each size in the squarefree poset of the polarization of
+    ideal: x_i^a becomes the first a of the g_i variables of coordinate i,
+    and every subset of those variables is tried."""
+    offsets = list(itertools.accumulate(g, initial=0))
+    gens = [sum(((1 << a) - 1) << offsets[i] for i, a in enumerate(u))
+            for u in ideal.gens]
+    f = [0] * (offsets[-1] + 1)
+    for subset in range(1 << offsets[-1]):
+        if any(u & subset == u for u in gens) == (kind == "ideal"):
+            f[subset.bit_count()] += 1
+    return f
+
+
+# Node budget within which a corpus triple counts as decided.  One triple,
+# S/I^(2) for corpus()[23], is not decided within 2,000,000 nodes.
+DECIDED_BUDGET = 20_000
+
+
+@functools.lru_cache(maxsize=None)
+def decided_triples():
+    """(poset, reference result, reference nodes) for each corpus triple
+    (I^(k) with k <= 2, kind) that the reference search decides."""
+    decided = []
+    for I in corpus():
+        for k in (1, 2):
+            J = I.symbolic_power(k)
+            for kind in ("ideal", "quotient"):
+                poset = characteristic_poset(J, kind)
+                try:
+                    decided.append((poset, *reference_sdepth_from_poset(
+                        poset, DECIDED_BUDGET)))
+                except BudgetExceeded:
+                    pass
+    return tuple(decided)
+
+
+SDEPTH_ANCHORS = [(path(5), 3, "ideal"), (cycle(4), 3, "ideal"),
+                  (cycle(5), 2, "quotient"), (cycle(4), 3, "quotient")]
+
+
+class TestCountingBound:
+    @pytest.mark.parametrize("ideal_, k", [
+        (cycle(4), 2), (cycle(5), 2), (path(5), 3),
+    ], ids=["C4^(2)", "C5^(2)", "P5^(3)"])
+    @pytest.mark.parametrize("kind", ["ideal", "quotient"])
+    def test_f_vector_matches_brute_force(self, ideal_, k, kind):
+        J = ideal_.symbolic_power(k)
+        poset = characteristic_poset(J, kind)
+        assert polarized_f_vector(poset) == brute_polarized_f_vector(
+            J, kind, poset.g)
+
+    def test_f_vector_of_an_enlarged_box(self):
+        J = TRIANGLE.symbolic_power(2)
+        for kind in ("ideal", "quotient"):
+            poset = characteristic_poset(J, kind, g=(3, 2, 2))
+            assert polarized_f_vector(poset) == brute_polarized_f_vector(
+                J, kind, poset.g)
+
+    def test_bound_is_at_least_sdepth_on_the_corpus(self):
+        assert len(decided_triples()) == 799
+        for poset, expected, _ in decided_triples():
+            assert counting_bound(poset) >= expected.value
+
+    @pytest.mark.parametrize("ideal_, k, kind, bound", [
+        (cycle(6), 2, "quotient", 2), (path(5), 3, "quotient", 2),
+        (cycle(6), 2, "ideal", 4),
+    ], ids=["C6^(2)-quotient", "P5^(3)-quotient", "C6^(2)-ideal"])
+    def test_frontier_bounds(self, ideal_, k, kind, bound):
+        poset = characteristic_poset(ideal_.symbolic_power(k), kind)
+        assert counting_bound(poset) == bound
+
+    def test_free_coordinates(self):
+        # g_i = 0: the coordinate is free in every interval
+        assert counting_bound(characteristic_poset(unit_ideal(3), "ideal")) == 3
+        assert counting_bound(
+            characteristic_poset(zero_ideal(2), "quotient")) == 2
+        I = ideal([(1, 1, 0)], 3)
+        assert counting_bound(characteristic_poset(I, "ideal")) == 3
+        assert counting_bound(characteristic_poset(I, "quotient")) == 2
+
+    def test_large_polarization_starts_at_n(self):
+        poset = characteristic_poset(MonomialIdeal(1, ((100,),)), "quotient")
+        assert counting_bound(poset) == 1
+        assert sdepth_from_poset(poset).value == 0
+
+
+class TestAgainstReferenceSearch:
+    """The counting bound only skips levels that fail, and the cheaper
+    kernel keeps the search order: the value and witness stay, and the
+    nodes do not grow."""
+
+    def _compare(self, poset, expected, reference_nodes, budgets):
+        del budgets[:]
+        assert sdepth_from_poset(poset, DECIDED_BUDGET) == expected
+        assert len(budgets) == 1 and budgets[0].nodes <= reference_nodes
+
+    def test_corpus(self, budgets):
+        for decided in decided_triples():
+            self._compare(*decided, budgets)
+
+    @pytest.mark.parametrize("ideal_, kmax, kind", SDEPTH_ANCHORS,
+                             ids=["P5-ideal", "C4-ideal", "C5-quotient",
+                                  "C4-quotient"])
+    def test_sdepth_search_anchors(self, ideal_, kmax, kind, budgets):
+        for k in range(1, kmax + 1):
+            poset = characteristic_poset(ideal_.symbolic_power(k), kind)
+            self._compare(poset, *reference_sdepth_from_poset(poset), budgets)
+
+    def test_kernel_matches_reference_per_level(self):
+        rng = random.Random(52)
+        for I in rng.sample(corpus(), 30):
+            J = I.symbolic_power(2)
+            for kind in ("ideal", "quotient"):
+                poset = characteristic_poset(J, kind)
+                for s in range(poset.n + 1):
+                    new, old = _Budget(DEFAULT_NODE_BUDGET), _Budget(
+                        DEFAULT_NODE_BUDGET)
+                    assert sdepth_at_least(poset, s, new) == \
+                        reference_sdepth_at_least(poset, s, old)
+                    assert new.nodes == old.nodes
+
+
+class TestSplittingWitness:
+    @pytest.mark.parametrize("ideal_, k, intervals", [
+        (cycle(6), 2, 33), (path(5), 3, 50),
+    ], ids=["C6^(2)", "P5^(3)"])
+    def test_frontier_quotients(self, ideal_, k, intervals, budgets):
+        J = ideal_.symbolic_power(k)
+        poset = characteristic_poset(J, "quotient")
+        result = sdepth(J, "quotient", node_budget=1000)
+        assert result.value == 2
+        assert len(budgets) == 2  # the search, then the splitting
+        assert budgets[0].nodes == 1001 and budgets[1].nodes <= 1000
+        witness = result.witness
+        assert witness.is_exact_cover_of(poset.points)
+        assert witness.sdepth() == 2
+        assert len(witness.intervals) == intervals
+        assert list(witness.intervals) == sorted(
+            witness.intervals, key=lambda iv: (sum(iv.a), iv.a))
+
+    def test_witnesses_on_the_corpus(self):
+        # wherever splitting finds a witness at s, it is an exact cover
+        # with tops of rank >= s, so s <= sdepth
+        found = 0
+        for poset, expected, _ in decided_triples()[::4]:
+            for s in range(expected.value + 2):
+                witness = splitting_witness(poset, s, DECIDED_BUDGET)
+                if witness is not None:
+                    found += 1
+                    assert s <= expected.value
+                    assert witness.is_exact_cover_of(poset.points)
+                    assert witness.sdepth() >= s
+        assert found > 200
+
+    def test_not_tight(self):
+        # C5^(2): splitting gives 1 against the true 2 for the quotient
+        poset = characteristic_poset(cycle(5).symbolic_power(2), "quotient")
+        assert splitting_witness(poset, 2) is None
+        assert splitting_witness(poset, 1).sdepth() == 1
+
+    def test_ideal_frontier_still_exceeds(self):
+        J = cycle(6).symbolic_power(2)
+        with pytest.raises(BudgetExceeded, match="exceeded 1000 nodes"):
+            sdepth(J, "ideal", node_budget=1000)
+
+    def test_splitting_budget(self):
+        poset = characteristic_poset(cycle(6).symbolic_power(2), "quotient")
+        assert splitting_witness(poset, 2, node_budget=10) is None
