@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / verification passed, 1 verification failed (a
 mathematical counterexample), 2 input or usage error, 3 internal error
-(engine disagreement, or an engine failure such as RuntimeError,
-RecursionError or MemoryError), 4 search budget exhausted.
+(engine disagreement, or any other exception), 4 search budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ def _emit(data, fmt):
 
 
 def _print_table(data, indent=""):
+    """Print a dict or a list, one scalar a line, nesting by indent."""
     if isinstance(data, dict):
         width = max((len(str(k)) for k in data), default=0)
         for key, value in data.items():
@@ -54,15 +55,13 @@ def _print_table(data, indent=""):
                 _print_table(value, indent + "  ")
             else:
                 print(f"{indent}{str(key).ljust(width)}  {value}")
-    elif isinstance(data, list):
+    else:
         for item in data:
             if isinstance(item, (dict, list)):
                 _print_table(item, indent + "  ")
                 print()
             else:
                 print(f"{indent}{item}")
-    else:
-        print(f"{indent}{data}")
 
 
 def _checked(check):
@@ -278,12 +277,12 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (RuntimeError, RecursionError, MemoryError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

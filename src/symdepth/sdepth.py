@@ -4,13 +4,15 @@ The computation reduces to partitioning a finite poset of exponent
 vectors (the characteristic poset over the box spanned by the generator
 degrees) into intervals, following Herzog-Vladoiu-Zheng.  The partition
 search is an exact backtracking cover with a hard node budget.  It starts
-at an upper bound found by counting, and where it runs out of budget a
-splitting along the variables may still supply a witness.
+at an upper bound counted on the box: the largest level s at which the
+series sum over the points c of x^|c| (1 - x)^(s - rho(c)) has no
+negative coefficient, rho(c) being the number of coordinates at the
+corner.  Where the search runs out of budget, a splitting along the
+variables may still supply a witness.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -27,11 +29,6 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # N**2 / 4 bytes for N points: 64 MiB here, where a 3^11 box would take
 # about 8 GB.
 MAX_BOX_POINTS = 1 << 14
-
-# The counting bound works in the polarized ring, with sum(g) variables,
-# at a cost that grows with the square of their number; above this many
-# the search starts at n instead.
-MAX_POLARIZED_VARIABLES = 64
 
 # A part of the splitting with at most this many poset points is searched
 # directly; a larger one is split again.
@@ -100,7 +97,7 @@ class SdepthResult(namedtuple("SdepthResult", "kind value g witness",
 
 
 def _rho(b, g):
-    return sum(1 for x, y in zip(b, g) if x == y)
+    return sum(map(operator.eq, b, g))
 
 
 def characteristic_poset(ideal, kind, g=None):
@@ -239,45 +236,31 @@ def sdepth_at_least(poset, s, budget=None):
         g, tuple(Interval(points[a], points[b]) for a, b in sorted(found)))
 
 
-def polarized_f_vector(poset):
-    """f[r]: the points with r elements in the squarefree poset of the
-    polarization, where coordinate i becomes g_i variables and a set
-    maps to the point whose c_i is the length of its run from the first
-    variable of coordinate i.  Point c then weighs the product over i of
-    t^c_i (1 + t)^(g_i - c_i - 1) below the corner and t^g_i at it, which
-    is t^|c| (1 + t)^(sum(g) - n + rho(c) - |c|)."""
-    g = poset.g
-    shift = sum(g) - poset.n
-    f = [0] * (sum(g) + 1)
-    weights = collections.Counter((sum(c), _rho(c, g)) for c in poset.points)
-    for (d, rho), count in weights.items():
-        m = shift + rho - d
-        for j in range(m + 1):
-            f[d + j] += count * math.comb(m, j)
-    return f
-
-
 def counting_bound(poset):
-    """An upper bound on the Stanley depth of the poset.
+    """An upper bound on the Stanley depth of the poset: the largest level
+    s at which P(x) / (1 - x)^(n - s) has no negative coefficient, where
+    P(x) sums x^|c| (1 - x)^(n - rho(c)) over the points c; else 0.
 
     Polarization adds sum(g) - n to the Stanley depth (Ichim-Katthan-
     Moyano-Fernandez).  A squarefree poset with a partition whose tops all
     have at least s elements has one whose points of at most s elements
-    lie in intervals with tops of exactly s elements, so its f-vector is
-    f_r = sum_t h_t C(s - t, r - t) with every h_t >= 0 (Keller-Shen-
-    Streib-Young).  The bound is the largest level where that holds; n
-    when the polarized ring is too large to count."""
-    shift = sum(poset.g) - poset.n
-    if shift + poset.n > MAX_POLARIZED_VARIABLES:
-        return poset.n
-    f = polarized_f_vector(poset)
-    for s in range(poset.n, 0, -1):
-        top = s + shift  # reaches 0 at s = n - sum(g) when that is >= 1
-        if all(
-                sum((-1) ** (r - t) * math.comb(top - t, r - t) * f[t]
-                    for t in range(r + 1)) >= 0
-                for r in range(top + 1)):
+    lie in intervals with tops of exactly s elements, so its h-vector at
+    that level is nonnegative (Keller-Shen-Streib-Young).  Read back in
+    the box, that h-vector is the start of the series above, whose later
+    coefficients are nonnegative, so its first sum(g) + n + 1
+    coefficients decide the level."""
+    n, g = poset.n, poset.g
+    # counts[m][d]: the points c with |c| = d and n - rho(c) = m
+    counts = [[0] * (sum(g) + n + 1) for _ in range(n + 1)]
+    for c in poset.points:
+        counts[n - _rho(c, g)][sum(c)] += 1
+    series = counts[n]
+    for row in reversed(counts[:n]):  # Horner's rule in 1 - x
+        series = [a + b - c for a, b, c in zip(row, series, [0] + series)]
+    for s in range(n, 0, -1):
+        if min(series) >= 0:
             return s
+        series = list(itertools.accumulate(series))  # divide by 1 - x
     return 0
 
 

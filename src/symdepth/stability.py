@@ -4,6 +4,7 @@ verifiers, and the matroid report."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 
@@ -133,8 +134,7 @@ def analyze_stability(ideal, quantity, kmax, engine="cross_check", char=0,
     if quantity == "depth":
         if certified:
             ell_s = ideal.n - m
-        n = ideal.n
-        bight_bound = n * (n + 1) * ideal.bight() ** (n / 2)
+        bight_bound = _bight_bound(ideal.n, ideal.bight())
     return StabilityReport(
         quantity=quantity,
         kmax=kmax,
@@ -149,6 +149,18 @@ def analyze_stability(ideal, quantity, kmax, engine="cross_check", char=0,
         bight_bound=bight_bound,
         char=char,
     )
+
+
+def _bight_bound(n, bight):
+    """n (n + 1) bight^(n/2) as a float, or its exact integer ceiling where
+    the float would overflow."""
+    try:
+        bound = n * (n + 1) * bight ** (n / 2)
+    except OverflowError:
+        bound = math.inf
+    if math.isfinite(bound):
+        return bound
+    return math.isqrt((n * (n + 1)) ** 2 * bight ** n - 1) + 1
 
 
 def _certify(ideal, quantity, window_min):

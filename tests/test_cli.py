@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from symdepth import MonomialIdeal, formats
+from symdepth import MonomialIdeal, SdepthResult, formats
 from symdepth.cli import main
+from symdepth.depth import DepthWitness
 from _corpus import cycle
 
 TRIANGLE_JSON = json.dumps(
@@ -228,6 +231,24 @@ class TestAnalyzeCommand:
         assert data["certification_rule"] == "matroid"
         assert data["ell_s_estimate"] == 2
 
+    def test_bight_bound_past_the_float_range(self, tmp_path, capsys):
+        # n (n + 1) bight^(n/2) overflows a float at n = 300: the exact
+        # integer is reported instead
+        path = tmp_path / "maximal.json"
+        path.write_text(json.dumps({"n": 300, "generators": [
+            [int(i == j) for j in range(300)] for i in range(300)]}))
+        code, out, err = run(capsys, ["analyze", str(path), "--quantity",
+                                      "depth", "--engine", "takayama",
+                                      "--kmax", "1"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bight_bound"] == 300 * 301 * 300 ** 150
+
+
+def first_call_then(first, later):
+    """A stand-in whose first call returns first, and later ones later."""
+    calls = itertools.count()
+    return lambda *args, **kwargs: first if next(calls) == 0 else later
+
 
 class TestVerifyCommands:
     def test_depsym_pass(self, triangle_file, capsys):
@@ -278,6 +299,81 @@ class TestVerifyCommands:
         data = json.loads(out)
         assert data["result"] == "PASS"
         assert data["comparisons"][0]["variable"] == 2
+
+    def test_depsym_table_format(self, triangle_file, capsys):
+        code, out, _ = run(capsys, [
+            "verify", "depsym", triangle_file, "-m", "1", "-k", "1",
+            "--format", "table",
+        ])
+        assert code == 0
+        assert out == (
+            "check        depsym\n"
+            "result       PASS\n"
+            "comparisons:\n"
+            "    m    1\n    k    1\n    j    0\n"
+            "    lhs  1\n    rhs  1\n    ok   True\n"
+            "\n"
+            "    m    1\n    k    1\n    j    1\n"
+            "    lhs  1\n    rhs  1\n    ok   True\n"
+            "\n")
+
+    def _counterexample(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 1
+        data = json.loads(out)
+        assert data["result"] == "FAIL"
+        return data["counterexample"]
+
+    TRIANGLE_GENS = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]  # as stored
+
+    def test_depsym_counterexample(self, triangle_file, capsys, monkeypatch):
+        # depth S/I^(m) = 0 against depth 1 at every higher power
+        monkeypatch.setattr(
+            "symdepth.stability.depth_via_takayama", first_call_then(
+                DepthWitness(0, "takayama", 0), DepthWitness(1, "takayama", 0)))
+        assert self._counterexample(capsys, [
+            "verify", "depsym", triangle_file, "-m", "2", "-k", "1",
+        ]) == {"m": 2, "k": 1, "j": 1, "lhs": 0, "rhs": 1, "ok": False,
+               "ideal": self.TRIANGLE_GENS}
+
+    def test_sdepsym_counterexample(self, triangle_file, capsys, monkeypatch):
+        monkeypatch.setattr("symdepth.stability.sdepth", first_call_then(
+            SdepthResult("ideal", 1), SdepthResult("ideal", 2)))
+        assert self._counterexample(capsys, [
+            "verify", "sdepsym", triangle_file, "-m", "1", "-k", "2",
+        ]) == {"kind": "ideal", "m": 1, "k": 2, "j": -1, "lhs": 1, "rhs": 2,
+               "ok": False, "ideal": self.TRIANGLE_GENS}
+
+    def test_power_lemma_counterexample(self, triangle_file, capsys,
+                                        monkeypatch):
+        # u in I^(k) exactly for k = 1: u^2 is then outside I^(2)
+        monkeypatch.setattr(MonomialIdeal, "symbolic_contains",
+                            lambda self, k, u: k == 1)
+        counterexample = self._counterexample(capsys, [
+            "verify", "power-lemma", triangle_file, "-m", "1", "-k", "1",
+            "--samples", "1",
+        ])
+        assert len(counterexample.pop("u")) == 3
+        assert counterexample == {"m": 1, "k": 1, "j": 1, "lhs": True,
+                                  "rhs": False, "ideal": self.TRIANGLE_GENS}
+
+    def test_colon_lemma_counterexample(self, triangle_file, capsys,
+                                        monkeypatch):
+        # (I^(k) : x1 x2 x3) = I^(k): not the unit ideal at k = 1
+        monkeypatch.setattr(MonomialIdeal, "colon", lambda self, u: self)
+        assert self._counterexample(capsys, [
+            "verify", "colon-lemma", triangle_file, "--kmax", "2",
+        ]) == {"k": 1, "height": 2, "actual": self.TRIANGLE_GENS,
+               "expected": [[0, 0, 0]], "ideal": self.TRIANGLE_GENS}
+
+    def test_splitting_bound_counterexample(self, triangle_file, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr("symdepth.stability.sdepth", first_call_then(
+            SdepthResult("ideal", 0), SdepthResult("ideal", 1)))
+        assert self._counterexample(capsys, [
+            "verify", "splitting-bound", triangle_file, "--var", "1",
+        ]) == {"variable": 1, "lhs": 0, "restriction": 1, "colon": 1,
+               "ok": False, "ideal": self.TRIANGLE_GENS}
 
 
 class TestMatroidReportCommand:
@@ -444,6 +540,9 @@ class TestErrorHandling:
         RuntimeError("no nonvanishing cohomology found; search box bug"),
         RecursionError("maximum recursion depth exceeded"),
         MemoryError(),
+        OverflowError("(34, 'Numerical result out of range')"),
+        KeyError("missing"),
+        ZeroDivisionError("division by zero"),
     ])
     def test_internal_error_exit_code(self, triangle_file, capsys,
                                       monkeypatch, exc):
@@ -454,7 +553,25 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["depth", triangle_file])
         assert code == 3
         assert out == ""
-        assert "internal error" in err and type(exc).__name__ in err
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_engine_disagreement_exit_code(self, triangle_file, capsys,
+                                           monkeypatch):
+        # the module, not the function that `symdepth.depth` names
+        engines = importlib.import_module("symdepth.depth")
+        betti = DepthWitness(2, "betti", 0, betti_index=1,
+                             betti_degree=(1, 1, 0))
+        monkeypatch.setattr(engines, "depth_via_betti",
+                            lambda ideal, char: betti)
+        code, out, err = run(capsys, ["depth", triangle_file])
+        assert code == 3
+        assert out == ""
+        data = json.loads(err)
+        assert data["error"] == "engine disagreement"
+        assert data["takayama"]["engine"] == "takayama"
+        assert data["takayama"]["depth"] == 1
+        assert data["betti"] == {"depth": 2, "engine": "betti", "char": 0,
+                                 "betti_index": 1, "betti_degree": [1, 1, 0]}
 
 
 class TestStartup:

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import time
 
 import pytest
 
@@ -28,7 +29,6 @@ from symdepth.sdepth import (
     _Budget,
     _rho,
     counting_bound,
-    polarized_f_vector,
     splitting_witness,
 )
 from _corpus import (
@@ -481,6 +481,47 @@ SDEPTH_ANCHORS = [(path(5), 3, "ideal"), (cycle(4), 3, "ideal"),
                   (cycle(5), 2, "quotient"), (cycle(4), 3, "quotient")]
 
 
+def reference_polarized_f_vector(poset):
+    """f[r]: the points with r elements in the squarefree poset of the
+    polarization, where coordinate i becomes g_i variables and a set
+    maps to the point whose c_i is the length of its run from the first
+    variable of coordinate i.  Point c then weighs the product over i of
+    t^c_i (1 + t)^(g_i - c_i - 1) below the corner and t^g_i at it, which
+    is t^|c| (1 + t)^(sum(g) - n + rho(c) - |c|)."""
+    g = poset.g
+    shift = sum(g) - poset.n
+    f = [0] * (sum(g) + 1)
+    for c in poset.points:
+        m = shift + _rho(c, g) - sum(c)
+        for j in range(m + 1):
+            f[sum(c) + j] += math.comb(m, j)
+    return f
+
+
+def reference_counting_bound(poset):
+    """The counting bound in the polarized ring: the largest level s whose
+    h-vector, taken from the polarized f-vector by the triangular
+    inversion at the polarized level s + sum(g) - n, is nonnegative."""
+    shift = sum(poset.g) - poset.n
+    f = reference_polarized_f_vector(poset)
+    for s in range(poset.n, 0, -1):
+        top = s + shift
+        if all(
+                sum((-1) ** (r - t) * math.comb(top - t, r - t) * f[t]
+                    for t in range(r + 1)) >= 0
+                for r in range(top + 1)):
+            return s
+    return 0
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_posets():
+    """The poset of every corpus triple (I^(k) with k <= 2, kind)."""
+    return tuple(characteristic_poset(I.symbolic_power(k), kind)
+                 for I in corpus() for k in (1, 2)
+                 for kind in ("ideal", "quotient"))
+
+
 class TestCountingBound:
     @pytest.mark.parametrize("ideal_, k", [
         (cycle(4), 2), (cycle(5), 2), (path(5), 3),
@@ -489,15 +530,31 @@ class TestCountingBound:
     def test_f_vector_matches_brute_force(self, ideal_, k, kind):
         J = ideal_.symbolic_power(k)
         poset = characteristic_poset(J, kind)
-        assert polarized_f_vector(poset) == brute_polarized_f_vector(
+        assert reference_polarized_f_vector(poset) == brute_polarized_f_vector(
             J, kind, poset.g)
 
     def test_f_vector_of_an_enlarged_box(self):
         J = TRIANGLE.symbolic_power(2)
         for kind in ("ideal", "quotient"):
             poset = characteristic_poset(J, kind, g=(3, 2, 2))
-            assert polarized_f_vector(poset) == brute_polarized_f_vector(
-                J, kind, poset.g)
+            assert reference_polarized_f_vector(poset) == \
+                brute_polarized_f_vector(J, kind, poset.g)
+            assert counting_bound(poset) == reference_counting_bound(poset)
+
+    def test_equals_the_polarized_bound_on_the_corpus(self):
+        posets = corpus_posets()
+        assert len(posets) == 800
+        for poset in posets:
+            assert counting_bound(poset) == reference_counting_bound(poset)
+
+    @pytest.mark.parametrize("ideal_, kmax, kind", SDEPTH_ANCHORS,
+                             ids=["P5-ideal", "C4-ideal", "C5-quotient",
+                                  "C4-quotient"])
+    def test_equals_the_polarized_bound_on_the_anchors(self, ideal_, kmax,
+                                                       kind):
+        for k in range(1, kmax + 1):
+            poset = characteristic_poset(ideal_.symbolic_power(k), kind)
+            assert counting_bound(poset) == reference_counting_bound(poset)
 
     def test_bound_is_at_least_sdepth_on_the_corpus(self):
         assert len(decided_triples()) == 799
@@ -511,6 +568,7 @@ class TestCountingBound:
     def test_frontier_bounds(self, ideal_, k, kind, bound):
         poset = characteristic_poset(ideal_.symbolic_power(k), kind)
         assert counting_bound(poset) == bound
+        assert reference_counting_bound(poset) == bound
 
     def test_free_coordinates(self):
         # g_i = 0: the coordinate is free in every interval
@@ -521,10 +579,21 @@ class TestCountingBound:
         assert counting_bound(characteristic_poset(I, "ideal")) == 3
         assert counting_bound(characteristic_poset(I, "quotient")) == 2
 
-    def test_large_polarization_starts_at_n(self):
-        poset = characteristic_poset(MonomialIdeal(1, ((100,),)), "quotient")
-        assert counting_bound(poset) == 1
-        assert sdepth_from_poset(poset).value == 0
+    @pytest.mark.parametrize("gens, n, kind, bound", [
+        ([(100,)], 1, "quotient", 0),
+        ([(40, 40)], 2, "quotient", 1),
+        ([(40, 40)], 2, "ideal", 2),
+        ([(16383,)], 1, "quotient", 0),
+    ], ids=["x^100-quotient", "x1^40x2^40-quotient", "x1^40x2^40-ideal",
+            "x^16383-quotient"])
+    def test_large_boxes(self, gens, n, kind, bound):
+        # far more than 64 polarized variables: the bound is still counted
+        poset = characteristic_poset(ideal(gens, n), kind)
+        start = time.perf_counter()
+        assert counting_bound(poset) == bound
+        assert time.perf_counter() - start < 0.05
+        if len(poset.points) < 2000:
+            assert sdepth_from_poset(poset).value <= bound
 
 
 class TestAgainstReferenceSearch:

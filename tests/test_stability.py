@@ -16,6 +16,7 @@ from symdepth import (
     verify_splitting_bound,
 )
 
+from symdepth.stability import _bight_bound
 from _corpus import random_squarefree_ideal
 
 
@@ -106,6 +107,17 @@ class TestAnalyze:
         n, b = TRIANGLE.n, TRIANGLE.bight()
         assert dep.bight_bound == n * (n + 1) * b ** (n / 2)
         assert analyze_stability(TRIANGLE, "sdepth_ideal", 2).bight_bound is None
+
+    def test_bight_bound_past_the_float_range(self):
+        # the float where it is finite; its exact ceiling where it overflows
+        assert _bight_bound(130, 130) == 130 * 131 * 130 ** 65.0
+        assert _bight_bound(130, 130) == 4.3404279147006196e+141
+        assert _bight_bound(300, 300) == 300 * 301 * 300 ** 150
+        # 251 ** 126.5 is a finite float, but the product overflows
+        for n, b in ((301, 301), (253, 251)):
+            bound = _bight_bound(n, b)
+            assert isinstance(bound, int)
+            assert (bound - 1) ** 2 < (n * (n + 1)) ** 2 * b ** n <= bound ** 2
 
     def test_window_min_consistent_with_sequence(self):
         rng = random.Random(51)
