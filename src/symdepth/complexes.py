@@ -3,7 +3,10 @@ vertex-decomposability checks, and exact reduced homology.
 
 Faces are bitmasks over 0-based vertices.  A complex is stored by its
 facets; the void complex (no faces at all) has an empty facet tuple and
-the empty complex {emptyset} has the single facet 0.
+the empty complex {emptyset} has the single facet 0.  Homology is taken
+in one place, ``homology_dims``, on the strong-collapse core of the
+facets: dominated vertices are deleted first, which keeps the homotopy
+type, so most complexes need no boundary rank at all.
 """
 
 from __future__ import annotations
@@ -48,14 +51,48 @@ def _reduce_to_facets(masks):
     return tuple(sorted(facets, key=lambda m: (bin(m).count("1"), m)))
 
 
+def strong_core(facets):
+    """The facets left once no vertex is dominated.  A vertex v is
+    dominated by u when every facet that contains v contains u; deleting
+    v is a strong collapse, which keeps the homotopy type (Barmak-Minian),
+    so reduced homology over every field is unchanged.  A complex that
+    collapses to a point ends as one vertex.
+
+    Each pass is one walk over the facets that meets, for every vertex
+    bit, the facets containing it.  It then deletes, in turn, each vertex
+    dominated by one not yet deleted in the pass: v stays dominated by u
+    while vertices other than u are deleted, so this is a run of single
+    deletions."""
+    while len(facets) > 1:
+        meet = {}  # vertex bit -> intersection of the facets containing it
+        for f in facets:
+            bits = f
+            while bits:
+                low = bits & -bits
+                meet[low] = meet.get(low, f) & f
+                bits ^= low
+        gone = 0
+        for v, common in meet.items():
+            if common & ~v & ~gone:
+                gone |= v
+        if not gone:
+            return facets
+        facets = _reduce_to_facets(f & ~gone for f in facets)
+    return tuple(f & -f for f in facets)  # a simplex collapses to a vertex
+
+
 def homology_dims(facets, char):
     """Nonzero reduced homology dims {i: dim} of the complex with these
-    facets; a cone (all facets share a vertex) is acyclic and takes no
-    boundary ranks."""
+    facets.  A cone (all facets share a vertex) is acyclic and takes no
+    boundary ranks; otherwise the ranks are taken on the strong-collapse
+    core, which is acyclic without ranks when it is one vertex."""
     apex = functools.reduce(int.__and__, facets) if facets else 0
     if apex:
         return {}
-    return reduced_homology_from_faces(_faces(facets), char)
+    core = strong_core(facets)
+    if len(core) == 1 and core[0]:
+        return {}
+    return reduced_homology_from_faces(_faces(core), char)
 
 
 def _faces(facets):

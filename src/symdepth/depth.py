@@ -172,12 +172,13 @@ def depth_via_takayama(ideal, char=0):
 
     The witness is the first multidegree of the scan (cosupports by size,
     then in lex order; alpha_plus in lex order) that reaches the least
-    degree.  When I is an intersection of prime powers, each cosupport
-    takes one multidegree per distinct set of short primes, not every
-    multidegree of the box.  A principal ideal (x^a) has depth n - 1 with
-    the witness the scan would find: alpha_plus = 0 and the cosupport
-    outside supp(a), where the complex is the boundary of the simplex on
-    supp(a)."""
+    degree.  Cosupports that miss a free variable (one in no generator)
+    are skipped: every complex there is a cone or void.  When I is an
+    intersection of prime powers, each cosupport takes one multidegree
+    per distinct set of short primes, not every multidegree of the box.
+    A principal ideal (x^a) has depth n - 1 with the witness the scan
+    would find: alpha_plus = 0 and the cosupport outside supp(a), where
+    the complex is the boundary of the simplex on supp(a)."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
@@ -201,11 +202,18 @@ def depth_via_takayama(ideal, char=0):
         primes, k = structure
         prime_masks = [mask_of(p) for p in primes]
 
+    # A free variable (in no generator) lies in every facet at a cosupport
+    # that misses it, so only cosupports holding every free variable are
+    # scanned.  Adding a fixed disjoint set keeps the lex order of the
+    # combinations of the other variables.
+    free = tuple(j for j in range(n) if not rho[j])
+    others = [j for j in range(n) if rho[j]]
     best = None  # (i, csize, cosupport tuple, alpha_plus, homology index)
-    for csize in range(0, n + 1):
+    for csize in range(len(free), n + 1):
         if best is not None and best[0] <= csize:
             break
-        for cosupport in itertools.combinations(range(n), csize):
+        for rest in itertools.combinations(others, csize - len(free)):
+            cosupport = tuple(sorted(rest + free))
             if structure is None:
                 complexes = _generic_complexes(ideal, rho, cosupport)
             else:

@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, complex_of_ideal, zero_ideal
-from symdepth.complexes import mask_of
+from symdepth.complexes import _faces, homology_dims, mask_of, strong_core, vertices_of
+from symdepth.homology import reduced_homology_from_faces
 from symdepth.monomial import support
 
 from _corpus import RP2_FACETS, complex_corpus, corpus, random_squarefree_ideal
@@ -248,6 +250,56 @@ class TestHomology:
                 profile = delta.reduced_homology(char)
                 hom_sum = sum((-1) ** i * d for i, d in profile.dims)
                 assert face_sum == hom_sum
+
+
+def _dominated(facets):
+    """The vertices whose facets all share some other vertex."""
+    out = []
+    for v in vertices_of(functools.reduce(int.__or__, facets, 0)):
+        common = functools.reduce(int.__and__, (f for f in facets if f >> v & 1))
+        if common != 1 << v:
+            out.append(v)
+    return out
+
+
+class TestStrongCore:
+    def _check(self, complex_):
+        core = strong_core(complex_.facets)
+        assert all(complex_.is_face(f) for f in core)
+        assert _dominated(core) == []
+        assert strong_core(core) == core
+        for char in (0, 2, 3):
+            raw = reduced_homology_from_faces(complex_.face_masks(), char)
+            assert reduced_homology_from_faces(_faces(core), char) == raw
+            assert homology_dims(complex_.facets, char) == raw
+        return core
+
+    def test_random_complexes(self):
+        for complex_ in complex_corpus(600, seed=47):
+            self._check(complex_)
+
+    def test_projective_plane_has_no_dominated_vertex(self):
+        c = cx(6, RP2_FACETS)
+        assert self._check(c) == c.facets
+        assert homology_dims(c.facets, 0) == {}
+        assert homology_dims(c.facets, 2) == {1: 1, 2: 1}
+
+    def test_hollow_tetrahedron_is_its_own_core(self):
+        c = cx(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        assert self._check(c) == c.facets
+        assert homology_dims(c.facets, 0) == {2: 1}
+
+    def test_tree_collapses_to_a_vertex(self):
+        c = cx(5, [(0, 1), (1, 2), (2, 3), (1, 4)])  # a tree, not a cone
+        core = self._check(c)
+        assert len(core) == 1 and bin(core[0]).count("1") == 1
+        assert homology_dims(c.facets, 0) == {}
+
+    def test_empty_and_void_complexes(self):
+        assert self._check(cx(3, [()])) == (0,)
+        assert homology_dims((0,), 0) == {-1: 1}
+        assert self._check(cx(3, [])) == ()
+        assert homology_dims((), 0) == {}
 
 
 class TestComplexJson:

@@ -416,6 +416,15 @@ def reference_depth_via_takayama(ideal, char=0):
                         cosupport=cosupport, homology_index=h_index)
 
 
+def _spread(u, slots, m):
+    """The exponent vector in m variables with variable i moved to
+    slots[i]; the variables outside slots are free."""
+    out = [0] * m
+    for i, a in zip(slots, u):
+        out[i] = a
+    return tuple(out)
+
+
 def _assert_same_witness(ideal, char):
     assert depth_via_takayama(ideal, char).to_dict() == \
         reference_depth_via_takayama(ideal, char).to_dict()
@@ -497,6 +506,67 @@ class TestTakayamaBoxScanReference:
         # the box scan made one per multidegree, 17,664
         assert len(reduced) == 1114
         assert witness.depth == 3
+
+    def test_homology_calls_on_cycle_10_square(self, monkeypatch):
+        engine = importlib.import_module("symdepth.depth")
+        complexes = importlib.import_module("symdepth.complexes")
+        raw = complexes.reduced_homology_from_faces
+        calls = []
+
+        def counted(faces, char):
+            calls.append(1)
+            return raw(faces, char)
+
+        # a fresh memo, so that the count does not depend on earlier tests
+        monkeypatch.setattr(engine, "_homology_dims",
+                            functools.lru_cache(maxsize=None)(homology_dims))
+        monkeypatch.setattr(complexes, "reduced_homology_from_faces", counted)
+        witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
+        # ranks are taken only on strong-collapse cores that are not a
+        # single vertex; on the raw facets there were 377 such calls
+        assert len(calls) == 57
+        assert witness.depth == 3
+
+    def test_free_variables(self):
+        # corpus ideals with free variables put among the others: the scan
+        # takes only cosupports that hold every free variable, in the order
+        # of the full scan
+        rng = random.Random(46)
+        for I in rng.sample(corpus(), 40) + rng.sample(non_squarefree_corpus(), 20):
+            m = I.n + rng.randint(1, 2)
+            slots = sorted(rng.sample(range(m), I.n))
+            F = ideal([_spread(g, slots, m) for g in I.gens], m)
+            powers = [F.symbolic_power(k) for k in (1, 2)] if I.is_squarefree else [F]
+            for J in powers:
+                for char in (0, 2):
+                    _assert_same_witness(J, char)
+        # a witness cosupport with a free variable below one in a
+        # generator: the path x4 - x2 - x1 - x3 spread to x2, x3, x5, x6
+        P = ideal([(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)], 4)
+        F = ideal([_spread(g, [1, 2, 4, 5], 6) for g in P.gens], 6)
+        for J in (F, F.symbolic_power(2)):
+            for char in (0, 2):
+                _assert_same_witness(J, char)
+        assert depth_via_takayama(F).cosupport == (0, 3, 4)
+
+    def test_free_variables_take_no_scan(self, monkeypatch):
+        # (x1 x2, x2 x3) in 40 variables: the witness is at the first
+        # cosupport that holds the 37 free variables, the only one scanned
+        engine = importlib.import_module("symdepth.depth")
+        scanned = engine._prime_power_complexes
+        cosupports = []
+
+        def counted(prime_masks, k, rho, cos_mask):
+            cosupports.append(cos_mask)
+            assert len(cosupports) < 10, "scanned a cosupport without a free variable"
+            return scanned(prime_masks, k, rho, cos_mask)
+
+        monkeypatch.setattr(engine, "_prime_power_complexes", counted)
+        J = ideal([(1, 1) + (0,) * 38, (0, 1, 1) + (0,) * 37], 40)
+        witness = depth_via_takayama.__wrapped__(J)
+        assert witness.depth == 38
+        assert witness.cosupport == tuple(range(3, 40))
+        assert cosupports == [mask_of(range(3, 40))]
 
 
 class TestEngineAgreementRandom:

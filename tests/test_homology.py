@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdepth import depth_via_takayama
+from symdepth import betti_table, depth_via_takayama
 from symdepth.complexes import SimplicialComplex
 from symdepth.homology import matrix_rank, reduced_homology_from_faces
 
@@ -97,28 +97,34 @@ class TestMatrixRank:
 
 class TestEngineComplexes:
     def test_euler_characteristic_and_reference_ranks(self, monkeypatch):
-        # On every complex the Takayama engine asks about: the alternating
-        # sum of the reduced Betti numbers is the reduced Euler
-        # characteristic, counted from the faces without any rank (both
-        # sides negated, so that H_-1 and the empty face take integer
-        # signs).  The ranks cancel from that sum, so the dims are also
-        # taken again with reference_rank in place of matrix_rank.
+        # On every complex either engine asks about: the alternating sum of
+        # the reduced Betti numbers is the reduced Euler characteristic,
+        # counted from the faces without any rank (both sides negated, so
+        # that H_-1 and the empty face take integer signs).  The engines
+        # take homology on the strong-collapse core, so the dims are also
+        # taken again on all faces of the raw complex, with reference_rank
+        # in place of matrix_rank.
         engine = importlib.import_module("symdepth.depth")
         homology = engine._homology_dims
-        answered = {}
+        answered = {"takayama": {}, "betti": {}}
+        asking = answered["takayama"]
 
         def recorded(facets, char):
-            answered[facets, char] = homology(facets, char)
-            return answered[facets, char]
+            asking[facets, char] = homology(facets, char)
+            return asking[facets, char]
 
         monkeypatch.setattr(engine, "_homology_dims", recorded)
         for I in random.Random(43).sample(corpus(), 50):
             for k in (1, 2):
                 for char in (0, 2):
+                    asking = answered["takayama"]
                     depth_via_takayama.__wrapped__(I.symbolic_power(k), char)
-        assert len(answered) > 100
+                    asking = answered["betti"]
+                    betti_table(I.symbolic_power(k), char)
+        assert len(answered["takayama"]) > 100
+        assert len(answered["betti"]) > 50
         monkeypatch.setattr("symdepth.homology.matrix_rank", reference_rank)
-        for (facets, char), dims in answered.items():
+        for (facets, char), dims in (answered["takayama"] | answered["betti"]).items():
             complex_ = SimplicialComplex(max(facets, default=0).bit_length(), facets)
             faces = complex_.face_counts()
             assert sum((-1) ** (i + 1) * d for i, d in dims.items()) == \
