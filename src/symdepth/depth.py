@@ -133,32 +133,38 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
 
     The complex at alpha is the union of the simplexes on free vertices
     avoiding each prime that misses the cosupport and whose exponent sum
-    falls short of k, so it depends only on those sums capped at k.  A
-    pass over the coordinates keeps, for each vector of capped sums, the
-    lex-first prefix that reaches it: a later prefix with the same sums has
-    the same completions, each after its twin's.  Prefixes are extended in
-    lex order and dicts keep insertion order, so every kept alpha is the
-    first of the box with its short primes, and they come out in box order.
+    falls short of k, so it depends only on the deficits max(k - sum, 0).
+    A pass over the coordinates keeps, for each vector of deficits, the
+    lex-first prefix that reaches it: a later prefix with the same deficits
+    has the same completions, each after its twin's.  Prefixes are
+    extended in lex order and dicts keep insertion order, so every kept
+    alpha is the first of the box with its short primes, and they come out
+    in box order.  Once alpha_j covers the largest deficit of a prime
+    holding j, a larger alpha_j reaches the same deficits, so it is not
+    tried.
     """
     live = [p for p in prime_masks if not p & cos_mask]
-    states = {(0,) * len(live): ()}
+    states = {(k,) * len(live): ()}  # deficits -> first prefix reaching them
     for j, top in enumerate(rho):
         hits = [t for t, p in enumerate(live) if p >> j & 1]
         if not hits:  # alpha_j moves no live sum: 0 comes first
-            states = {sums: alpha + (0,) for sums, alpha in states.items()}
+            states = {d: alpha + (0,) for d, alpha in states.items()}
             continue
         grown = {}
-        for sums, alpha in states.items():
-            for a in range(top):
-                capped = list(sums)
+        for deficits, alpha in states.items():
+            grown.setdefault(deficits, alpha + (0,))
+            most = max(map(deficits.__getitem__, hits))
+            for a in range(1, min(top, most + 1)):
+                lowered = list(deficits)
                 for t in hits:
-                    capped[t] = min(capped[t] + a, k)
-                grown.setdefault(tuple(capped), alpha + (a,))
+                    d = deficits[t]
+                    lowered[t] = d - a if d > a else 0
+                grown.setdefault(tuple(lowered), alpha + (a,))
         states = grown
     free_mask = ((1 << len(rho)) - 1) & ~cos_mask
     first = {}  # short primes -> first alpha
-    for sums, alpha in states.items():
-        first.setdefault(tuple(p for p, s in zip(live, sums) if s < k), alpha)
+    for deficits, alpha in states.items():
+        first.setdefault(tuple(p for p, d in zip(live, deficits) if d), alpha)
     for short, alpha in first.items():
         yield alpha, _reduce_to_facets(free_mask & ~p for p in short)
 
@@ -174,8 +180,10 @@ def depth_via_takayama(ideal, char=0):
     then in lex order; alpha_plus in lex order) that reaches the least
     degree.  Cosupports that miss a free variable (one in no generator)
     are skipped: every complex there is a cone or void.  When I is an
-    intersection of prime powers, each cosupport takes one multidegree
-    per distinct set of short primes, not every multidegree of the box.
+    intersection of prime powers, so is a cosupport G with a vertex
+    outside G in no prime missing G (no live prime): that vertex lies in
+    every facet at G.  Any other cosupport takes one multidegree per
+    distinct set of short primes, not every multidegree of the box.
     A principal ideal (x^a) has depth n - 1 with the witness the scan
     would find: alpha_plus = 0 and the cosupport outside supp(a), where
     the complex is the boundary of the simplex on supp(a)."""
@@ -201,6 +209,7 @@ def depth_via_takayama(ideal, char=0):
     if structure is not None:
         primes, k = structure
         prime_masks = [mask_of(p) for p in primes]
+        full = (1 << n) - 1
 
     # A free variable (in no generator) lies in every facet at a cosupport
     # that misses it, so only cosupports holding every free variable are
@@ -217,8 +226,15 @@ def depth_via_takayama(ideal, char=0):
             if structure is None:
                 complexes = _generic_complexes(ideal, rho, cosupport)
             else:
+                cos_mask = mask_of(cosupport)
+                reach = 0
+                for p in prime_masks:
+                    if not p & cos_mask:
+                        reach |= p
+                if full & ~cos_mask & ~reach:
+                    continue  # a vertex in no live prime: cones or void
                 complexes = _prime_power_complexes(
-                    prime_masks, k, rho, mask_of(cosupport)
+                    prime_masks, k, rho, cos_mask
                 )
             for alpha, facets in complexes:
                 dims = _homology_dims(facets, char)

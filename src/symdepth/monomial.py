@@ -243,35 +243,50 @@ def _symbolic_power_cached(n, primes, k):
     Prune: u in J_j is minimal iff each i with u_i > 0 lies in a tight prime
     (t <= j, sum_{P_t} u = k), since lowering u_i by one lowers exactly the
     sums over the primes containing i, each by one.
+
+    Each generator carries its sums over the folded primes, so no exponent
+    is summed twice.  A candidate g + e takes g's sums plus one per folded
+    prime holding each raised variable, and k on the new prime.  That
+    prime is tight and holds every raised variable, so the candidate is
+    minimal iff the variables of supp(g) outside it lie in the union of
+    the masks of the folded primes whose sum is k.  A generator already
+    at k or more on the new prime keeps its tight primes and stays.
     """
-    folded = []  # (variables, bitmask) of the primes in J_j
-    gens = {(0,) * n}
+    masks = []  # bitmask of each folded prime
+    holders = [[] for _ in range(n)]  # indices of the folded primes holding i
+    gens = {(0,) * n: ()}  # generator of J_j -> its sums over P_1, ..., P_j
     for prime in primes:
         variables = sorted(prime)
-        folded.append((variables, sum(1 << i for i in variables)))
-        candidates = set()
-        for g in gens:
-            short = k - sum(g[i] for i in variables)
+        mask = sum(1 << i for i in variables)
+        candidates = {}
+        for g, sums in gens.items():
+            short = k - sum(map(g.__getitem__, variables))
             if short <= 0:
-                candidates.add(g)
+                candidates[g] = sums + (k - short,)
                 continue
+            need = sum(1 << i for i, a in enumerate(g) if a) & ~mask
             for combo in itertools.combinations_with_replacement(variables, short):
                 u = list(g)
+                raised = list(sums)
                 for i in combo:
                     u[i] += 1
-                candidates.add(tuple(u))
-        gens = {u for u in candidates if _is_minimal(u, folded, k)}
+                    for t in holders[i]:
+                        raised[t] += 1
+                if not need or _is_minimal(need, raised, masks, k):
+                    raised.append(k)
+                    candidates[tuple(u)] = tuple(raised)
+        for i in variables:
+            holders[i].append(len(masks))
+        masks.append(mask)
+        gens = candidates
     return MonomialIdeal(n, tuple(sorted(gens, key=grlex_key)))
 
 
-def _is_minimal(u, folded, k):
-    """Whether u is a minimal generator of the intersection of the k-th
-    powers of the ``folded`` primes, given that u lies in it."""
-    tight = 0
-    for variables, mask in folded:
-        if sum(u[i] for i in variables) == k:
-            tight |= mask
-    return all(tight >> i & 1 for i, a in enumerate(u) if a)
+def _is_minimal(need, sums, masks, k):
+    """Whether the variables in the bitmask ``need`` all lie in a prime
+    whose sum is k, the primes given by their ``masks`` and ``sums``."""
+    return not need & ~functools.reduce(
+        operator.or_, itertools.compress(masks, map(k.__eq__, sums)), 0)
 
 
 def zero_ideal(n):

@@ -502,9 +502,10 @@ class TestTakayamaBoxScanReference:
 
         monkeypatch.setattr(engine, "_reduce_to_facets", counted)
         witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
-        # one reduction per distinct short-prime set at each cosupport;
-        # the box scan made one per multidegree, 17,664
-        assert len(reduced) == 1114
+        # one reduction per distinct short-prime set at each cosupport
+        # that passes the cover test (the 20 that fail it would take 50
+        # more); the box scan made one per multidegree, 17,664
+        assert len(reduced) == 1064
         assert witness.depth == 3
 
     def test_homology_calls_on_cycle_10_square(self, monkeypatch):
@@ -567,6 +568,65 @@ class TestTakayamaBoxScanReference:
         assert witness.depth == 38
         assert witness.cosupport == tuple(range(3, 40))
         assert cosupports == [mask_of(range(3, 40))]
+
+
+def _uncovered(prime_masks, n, cos_mask):
+    """Whether a vertex outside the cosupport lies in no prime missing it."""
+    reach = 0
+    for p in prime_masks:
+        if not p & cos_mask:
+            reach |= p
+    return bool(((1 << n) - 1) & ~cos_mask & ~reach)
+
+
+class TestCoverTest:
+    """On the prime-power path a cosupport with a vertex outside it in no
+    live prime takes no scan: every complex there is a cone or void.  The
+    corpus witnesses are compared in TestTakayamaBoxScanReference."""
+
+    @pytest.mark.parametrize("n, k, visited, skipped", [
+        (8, 1, 37, 12), (8, 2, 37, 12), (10, 1, 56, 20), (10, 2, 56, 20),
+    ])
+    def test_skipped_cosupports_on_cycles(self, monkeypatch, n, k, visited,
+                                          skipped):
+        engine = importlib.import_module("symdepth.depth")
+        scan = engine._prime_power_complexes
+        scanned = []
+
+        def counted(prime_masks, k, rho, cos_mask):
+            scanned.append(cos_mask)
+            return scan(prime_masks, k, rho, cos_mask)
+
+        monkeypatch.setattr(engine, "_prime_power_complexes", counted)
+        J = cycle(n).symbolic_power(k)
+        witness = depth_via_takayama.__wrapped__(J)
+        assert witness.to_dict() == reference_depth_via_takayama(J).to_dict()
+        # the scan stops before the cosupports of size witness.depth
+        masks = [mask_of(p) for p in J.prime_structure()[0]]
+        reached = [mask_of(G) for size in range(witness.depth)
+                   for G in itertools.combinations(range(n), size)]
+        assert len(reached) == visited
+        assert scanned == [G for G in reached if not _uncovered(masks, n, G)]
+        assert len(reached) - len(scanned) == skipped
+
+    def test_skipped_cosupports_are_acyclic_on_the_corpus(self):
+        engine = importlib.import_module("symdepth.depth")
+        skipped = 0
+        for I in corpus():
+            for k in (1, 2):
+                J = I.symbolic_power(k)
+                primes, _ = J.prime_structure()
+                masks = [mask_of(p) for p in primes]
+                rho = J.generator_degree_bounds()
+                for cos_mask in range(1 << I.n):
+                    if not _uncovered(masks, I.n, cos_mask):
+                        continue
+                    skipped += 1
+                    for _, facets in engine._prime_power_complexes(
+                            masks, k, rho, cos_mask):
+                        assert homology_dims(facets, 0) == {}
+        # of the 2^n cosupports of each power of the fixed corpus
+        assert skipped == 4180
 
 
 class TestEngineAgreementRandom:

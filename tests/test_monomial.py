@@ -4,7 +4,13 @@ import random
 import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, unit_ideal, zero_ideal
-from symdepth.monomial import mul_exp, pow_exp, support
+from symdepth.monomial import (
+    _symbolic_power_cached,
+    grlex_key,
+    mul_exp,
+    pow_exp,
+    support,
+)
 
 from _corpus import (
     RP2_FACETS,
@@ -263,6 +269,135 @@ def prime_power_fold(primes, k, n):
     for P in powers[1:]:
         folded = folded.intersect(P)
     return folded
+
+
+def reference_symbolic_power(n, primes, k):
+    """The fold that re-sums a candidate's exponents over every prime
+    folded so far to find its tight primes."""
+    folded = []  # (variables, bitmask) of the primes in J_j
+    gens = {(0,) * n}
+    for prime in primes:
+        variables = sorted(prime)
+        folded.append((variables, sum(1 << i for i in variables)))
+        candidates = set()
+        for g in gens:
+            short = k - sum(g[i] for i in variables)
+            if short <= 0:
+                candidates.add(g)
+                continue
+            for combo in itertools.combinations_with_replacement(variables, short):
+                u = list(g)
+                for i in combo:
+                    u[i] += 1
+                candidates.add(tuple(u))
+        gens = set()
+        for u in candidates:
+            tight = 0
+            for vs, mask in folded:
+                if sum(u[i] for i in vs) == k:
+                    tight |= mask
+            if all(tight >> i & 1 for i, a in enumerate(u) if a):
+                gens.add(u)
+    return tuple(sorted(gens, key=grlex_key))
+
+
+def brute_force_symbolic_power(n, sets, k):
+    """The minimal elements of the intersection of the k-th powers of the
+    ideals of the variable sets, inside the box [0, k]^n, which holds
+    them all: a minimal u with u_i > k would have no tight set at i."""
+    members = {
+        u for u in itertools.product(range(k + 1), repeat=n)
+        if all(sum(u[i] for i in s) >= k for s in sets)
+    }
+    return tuple(sorted(
+        (u for u in members
+         if not any(a and u[:i] + (a - 1,) + u[i + 1:] in members
+                    for i, a in enumerate(u))),
+        key=grlex_key,
+    ))
+
+
+def fold(n, sets, k):
+    return _symbolic_power_cached(n, tuple(frozenset(s) for s in sets), k).gens
+
+
+class TestFoldOnVariableSets:
+    """The fold over any variable sets, as its callers give them: not
+    only minimal primes but nested, duplicated and singleton sets."""
+
+    @pytest.mark.parametrize("n, sets", [
+        (4, [{0}, {0, 1}, {0, 1, 2}, {0, 1, 2, 3}]),  # a chain
+        (4, [{0, 1}, {2, 3}, {0, 1}, {2, 3}]),  # each set twice
+        (5, [{0}, {3}, {1, 2}, {0, 4}]),  # singletons
+        (5, [{1, 2, 3}, {2}, {2}, {0, 4}, {0, 1, 4}]),  # all three
+        (6, [{0, 1, 2, 3, 4, 5}, {5}, {0, 5}, {1, 2}]),
+        (3, [{0, 1}, set()]),  # the zero ideal
+    ])
+    def test_families_against_brute_force(self, n, sets):
+        for k in range(1, 5):
+            assert fold(n, sets, k) == brute_force_symbolic_power(n, sets, k)
+
+    def test_random_families_against_brute_force(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, 4)
+            sets = [set(rng.sample(range(n), rng.randint(1, n)))
+                    for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.5:  # nest one set in another, or repeat it
+                sets.append(set(list(sets[0])[:rng.randint(1, len(sets[0]))]))
+            assert fold(n, sets, k) == brute_force_symbolic_power(n, sets, k)
+
+    def test_k_four_in_six_variables(self):
+        sets = [{0, 1}, {1, 2, 3}, {3, 4}, {4, 5, 0}, {2}]
+        assert fold(6, sets, 4) == brute_force_symbolic_power(6, sets, 4)
+
+    def test_corpus_against_the_re_summing_fold(self):
+        for I in corpus():
+            primes = I.minimal_primes()
+            for k in (1, 2, 3):
+                assert _symbolic_power_cached(I.n, primes, k).gens == \
+                    reference_symbolic_power(I.n, primes, k)
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (10, 2), (10, 3)])
+    def test_cycles_against_the_re_summing_fold(self, n, k):
+        primes = cycle(n).minimal_primes()
+        assert _symbolic_power_cached(n, primes, k).gens == \
+            reference_symbolic_power(n, primes, k)
+
+    def test_generator_supports_and_facet_complements(self):
+        # what minimal_primes and stanley_reisner_ideal hand to the fold
+        for delta in complex_corpus(300):
+            full = (1 << delta.n) - 1
+            complements = [[i for i in range(delta.n) if (full & ~f) >> i & 1]
+                           for f in delta.facets]
+            assert fold(delta.n, complements, 1) == \
+                reference_symbolic_power(delta.n, complements, 1)
+        for I in non_squarefree_corpus(100):
+            supports = [support(g) for g in I.gens]
+            assert fold(I.n, supports, 1) == \
+                brute_force_symbolic_power(I.n, supports, 1)
+
+
+class TestFoldOrder:
+    """Metamorphic: the generators do not depend on the order in which
+    the primes are folded."""
+
+    def test_corpus(self):
+        rng = random.Random(48)
+        for I in corpus():
+            primes = list(I.minimal_primes())
+            for k in (1, 2, 3):
+                expected = _symbolic_power_cached(I.n, tuple(primes), k).gens
+                rng.shuffle(primes)
+                assert _symbolic_power_cached(I.n, tuple(primes), k).gens == expected
+
+    @pytest.mark.parametrize("n, k", [(8, 2), (8, 3), (10, 2)])
+    def test_cycles(self, n, k):
+        primes = cycle(n).minimal_primes()
+        expected = _symbolic_power_cached(n, primes, k).gens
+        for order in (primes[::-1], primes[1::2] + primes[::2]):
+            assert _symbolic_power_cached(n, order, k).gens == expected
 
 
 class TestPrimeStructure:
