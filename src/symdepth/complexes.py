@@ -83,11 +83,11 @@ def strong_core(facets):
 
 def homology_dims(facets, char):
     """Nonzero reduced homology dims {i: dim} of the complex with these
-    facets.  A cone (all facets share a vertex) is acyclic and takes no
-    boundary ranks; otherwise the ranks are taken on the strong-collapse
-    core, which is acyclic without ranks when it is one vertex."""
-    apex = functools.reduce(int.__and__, facets) if facets else 0
-    if apex:
+    facets.  The void complex (no facets) and a cone (all facets share a
+    vertex) are acyclic and take no boundary ranks; otherwise the ranks
+    are taken on the strong-collapse core, which is acyclic without ranks
+    when it is one vertex."""
+    if not facets or functools.reduce(int.__and__, facets):
         return {}
     core = strong_core(facets)
     if len(core) == 1 and core[0]:

@@ -22,8 +22,7 @@ from .complexes import (
     vertices_of,
 )
 from .homology import check_char
-from .monomial import check_exponents, divides, divisor_masks, support
-from .sdepth import check_box
+from .monomial import box_divisors, check_exponents, divides, divisor_masks, support
 
 
 class EngineDisagreement(RuntimeError):
@@ -286,11 +285,11 @@ def betti_table(ideal, char=0):
     Only lcm-lattice points can carry a nonzero Betti number
     (Gasharov-Peeva-Welker): where some coordinate i has no dividing
     generator with g_i = alpha_i, every slack set contains i and the
-    complex is a cone.  Bitmasks over generator indices, built once per
-    call, give the dividing generators and this test with n ANDs per box
-    point; complexes are built only at the remaining lattice points.  A
-    box of more than MAX_BOX_POINTS points raises BudgetExceeded before
-    the scan."""
+    complex is a cone.  monomial.box_divisors gives each box point with
+    the bitmask of its dividing generators, and the per-coordinate masks
+    of the generators with g_i = alpha_i give this test; complexes are
+    built only at the remaining lattice points.  A box of more than
+    MAX_BOX_POINTS points raises BudgetExceeded before the scan."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
@@ -299,13 +298,9 @@ def betti_table(ideal, char=0):
     if not ideal.is_zero:
         gens = ideal.gens
         box = ideal.generator_degree_bounds()
-        check_box(box, "Betti lcm")
-        exactly, at_most = divisor_masks(gens, box)
-        every = (1 << len(gens)) - 1
-        for alpha in itertools.product(*(range(b + 1) for b in box)):
-            divisors = every
-            for i, a in enumerate(alpha):
-                divisors &= at_most[i][a]
+        cells = box_divisors(gens, box, "Betti lcm")
+        exactly = divisor_masks(gens, box)[0]
+        for alpha, divisors in cells:
             if not divisors or not all(
                 divisors & exactly[i][a] for i, a in enumerate(alpha)
             ):

@@ -4,14 +4,28 @@ Monomials are exponent tuples over a fixed number of variables.  Ideals
 are stored through their canonical minimal generating set (divisibility
 reduced, deduplicated, graded-lex sorted), so equal ideals compare equal.
 Variable indices are 0-based throughout the library.
+
+The exponent box [0, corner] that the Betti scan and the Stanley-depth
+poset walk is enumerated once, by ``box_divisors``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import namedtuple
+
+# Most points of an exponent box that box_divisors enumerates.  The
+# Stanley-depth search keeps two order bitmasks per point, about N**2 / 4
+# bytes for N points: 64 MiB here, where a 3^11 box would take about 8 GB.
+MAX_BOX_POINTS = 1 << 14
+
+
+class BudgetExceeded(RuntimeError):
+    """A search exceeded its node budget, or an exponent box holds more
+    than MAX_BOX_POINTS points (never silently approximated)."""
 
 
 def check_exponents(u, n):
@@ -65,6 +79,23 @@ def divisor_masks(gens, bounds):
             exactly[i][a] |= 1 << j
     return exactly, [list(itertools.accumulate(row, operator.or_))
                      for row in exactly]
+
+
+def box_divisors(gens, corner, what):
+    """(c, mask) for each point c of the box [0, corner], in
+    itertools.product order, where mask holds the generators dividing c
+    (bit j for gens[j]); every generator must lie in the box.  The masks
+    are the ANDs of divisor_masks' at_most rows, taken one coordinate at
+    a time.  A box of more than MAX_BOX_POINTS points raises
+    BudgetExceeded, naming it by ``what``, before any point is made."""
+    box = math.prod(b + 1 for b in corner)
+    if box > MAX_BOX_POINTS:
+        raise BudgetExceeded(f"{what} box has {box} points, "
+                             f"above the limit of {MAX_BOX_POINTS}")
+    cells = [((), (1 << len(gens)) - 1)]
+    for row in divisor_masks(gens, corner)[1]:
+        cells = [(c + (v,), m & r) for c, m in cells for v, r in enumerate(row)]
+    return cells
 
 
 class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):

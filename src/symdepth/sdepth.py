@@ -13,22 +13,18 @@ variables may still supply a witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import namedtuple
 
-from .monomial import MonomialIdeal, divisor_masks, grlex_key
+from .monomial import (BudgetExceeded, MonomialIdeal, box_divisors,
+                       divisor_masks, grlex_key)
 
 INFINITY = math.inf
 
 DEFAULT_NODE_BUDGET = 2_000_000
-
-# Most points of an exponent box that characteristic_poset or betti_table
-# enumerates.  The search keeps two order bitmasks per point, about
-# N**2 / 4 bytes for N points: 64 MiB here, where a 3^11 box would take
-# about 8 GB.
-MAX_BOX_POINTS = 1 << 14
 
 # A part of the splitting with at most this many poset points is searched
 # directly; a larger one is split again.
@@ -38,12 +34,6 @@ SPLIT_SEARCH_POINTS = 32
 def json_value(value):
     """A Stanley depth as JSON and CSV show it: INFINITY is "infinity"."""
     return "infinity" if value == INFINITY else value
-
-
-class BudgetExceeded(RuntimeError):
-    """The exact-cover search exceeded its node budget, or its exponent
-    box holds more than MAX_BOX_POINTS points (never silently
-    approximated)."""
 
 
 class CharacteristicPoset(namedtuple("CharacteristicPoset", "n g points kind")):
@@ -106,7 +96,9 @@ def characteristic_poset(ideal, kind, g=None):
 
     ``g`` overrides the box corner (must dominate the default corner);
     enlarging the box never changes the computed Stanley depth.  A box of
-    more than MAX_BOX_POINTS points raises BudgetExceeded.
+    more than MAX_BOX_POINTS points raises BudgetExceeded before any
+    point is made.  The points are those that monomial.box_divisors
+    gives with a dividing generator (kind="ideal") or with none.
     """
     if kind not in ("ideal", "quotient"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -121,24 +113,11 @@ def characteristic_poset(ideal, kind, g=None):
         g = tuple(g)
         if len(g) != ideal.n or any(a < b for a, b in zip(g, default)):
             raise ValueError(f"box corner {g} must dominate {default}")
-    check_box(g, "characteristic poset")
-    # (point, generators dividing it) over the box, in itertools.product
-    # order, one coordinate at a time
-    cells = [((), (1 << len(ideal.gens)) - 1)]
-    for row in divisor_masks(ideal.gens, g)[1]:
-        cells = [(c + (v,), m & r) for c, m in cells for v, r in enumerate(row)]
     inside = kind == "ideal"
-    points = [c for c, m in cells if (m != 0) == inside]
+    points = [c for c, m in box_divisors(ideal.gens, g, "characteristic poset")
+              if (m != 0) == inside]
     points.sort(key=grlex_key)
     return CharacteristicPoset(ideal.n, g, tuple(points), kind)
-
-
-def check_box(g, what):
-    """Refuse an exponent box [0, g] of more than MAX_BOX_POINTS points."""
-    box = math.prod(b + 1 for b in g)
-    if box > MAX_BOX_POINTS:
-        raise BudgetExceeded(f"{what} box has {box} points, "
-                             f"above the limit of {MAX_BOX_POINTS}")
 
 
 def check_budget(limit):
@@ -168,6 +147,11 @@ def _bits(mask):
         mask &= mask - 1
 
 
+def _meet(rows, p):
+    """The AND of rows[t][p_t] over the coordinates t."""
+    return functools.reduce(operator.and_, map(list.__getitem__, rows, p), -1)
+
+
 def sdepth_at_least(poset, s, budget=None):
     """An interval partition of the poset using only intervals whose top
     touches the box corner in at least s coordinates, or None.  Point i
@@ -175,17 +159,13 @@ def sdepth_at_least(poset, s, budget=None):
     if budget is None:
         budget = _Budget(DEFAULT_NODE_BUDGET)
     g, points = poset.g, poset.points
-    # up[i], down[i]: points >= and <= point i, built per coordinate
-    up, down = [-1] * len(points), [-1] * len(points)
-    for t, corner in enumerate(g):
-        at = [0] * (corner + 1)
-        for i, p in enumerate(points):
-            at[p[t]] |= 1 << i
-        at_most = list(itertools.accumulate(at, operator.or_))
-        at_least = list(itertools.accumulate(at[::-1], operator.or_))[::-1]
-        for i, p in enumerate(points):
-            up[i] &= at_least[p[t]]
-            down[i] &= at_most[p[t]]
+    # up[i], down[i]: points >= and <= point i, from the divisor masks of
+    # the points (playing the generators); at_least runs the OR backwards
+    exactly, at_most = divisor_masks(points, g)
+    at_least = [list(itertools.accumulate(row[::-1], operator.or_))[::-1]
+                for row in exactly]
+    up = [_meet(at_least, p) for p in points]
+    down = [_meet(at_most, p) for p in points]
     high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
     size = [sum(p) for p in points]
     failed = set()

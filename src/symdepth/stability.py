@@ -12,7 +12,8 @@ from .complexes import complex_of_ideal
 from .depth import depth, depth_via_takayama
 from .homology import check_char
 from .monomial import MonomialIdeal, pow_exp
-from .sdepth import DEFAULT_NODE_BUDGET, json_value, sdepth, split_by_variable
+from .sdepth import (DEFAULT_NODE_BUDGET, INFINITY, json_value, sdepth,
+                     split_by_variable)
 
 QUANTITIES = ("depth", "sdepth_ideal", "sdepth_quotient")
 
@@ -23,13 +24,7 @@ class SequenceReport(namedtuple("SequenceReport",
     # values[i] is the value at symbolic power i+1
 
     def to_dict(self):
-        return {
-            "quantity": self.quantity,
-            "kmax": self.kmax,
-            "values": [json_value(v) for v in self.values],
-            "char": self.char,
-            "engine": self.engine,
-        }
+        return dict(self._asdict(), values=[json_value(v) for v in self.values])
 
 
 class StabilityReport(namedtuple(
@@ -81,15 +76,7 @@ class MatroidReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "ell_s": self.ell_s,
-            "rows": list(self.rows),
-            "all_claims_hold": self.all_claims_hold,
-            "degenerate": self.degenerate,
-            "char": self.char,
-        }
+        return dict(self._asdict(), rows=list(self.rows))
 
 
 def _value_at(ideal, k, quantity, engine, char, node_budget):
@@ -317,7 +304,7 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
     if ideal.is_zero:
         rows = tuple(
             {"k": k, "depth": n, "dim": n, "cohen_macaulay": True,
-             "sdepth_quotient": n, "sdepth_ideal": "infinity",
+             "sdepth_quotient": n, "sdepth_ideal": json_value(INFINITY),
              "claims_hold": True}
             for k in range(1, kmax + 1)
         )

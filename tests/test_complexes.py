@@ -1,4 +1,5 @@
 import functools
+import importlib
 import random
 
 import pytest
@@ -300,6 +301,16 @@ class TestStrongCore:
         assert homology_dims((0,), 0) == {-1: 1}
         assert self._check(cx(3, [])) == ()
         assert homology_dims((), 0) == {}
+
+    def test_void_complex_takes_no_homology_call(self, monkeypatch):
+        complexes = importlib.import_module("symdepth.complexes")
+
+        def unreachable(faces, char):
+            raise AssertionError("the void complex reached the rank code")
+
+        monkeypatch.setattr(complexes, "reduced_homology_from_faces", unreachable)
+        for char in (0, 2):
+            assert homology_dims((), char) == {}
 
 
 class TestComplexJson:

@@ -28,7 +28,7 @@ from symdepth.complexes import (
 )
 from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
-from symdepth.sdepth import MAX_BOX_POINTS
+from symdepth.monomial import MAX_BOX_POINTS
 from symdepth.monomial import divides, lcm_exp, support
 
 from _corpus import (
@@ -523,9 +523,11 @@ class TestTakayamaBoxScanReference:
                             functools.lru_cache(maxsize=None)(homology_dims))
         monkeypatch.setattr(complexes, "reduced_homology_from_faces", counted)
         witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
-        # ranks are taken only on strong-collapse cores that are not a
-        # single vertex; on the raw facets there were 377 such calls
-        assert len(calls) == 57
+        # this counts work: ranks are taken only on strong-collapse cores
+        # that are not a single vertex (on the raw facets there were 377
+        # such calls), and the one void complex of C10^(2) no longer
+        # reaches the rank code (it took one call more)
+        assert len(calls) == 56
         assert witness.depth == 3
 
     def test_free_variables(self):

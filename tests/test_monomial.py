@@ -1,11 +1,18 @@
+import ast
+import importlib
 import itertools
 import random
 
 import pytest
 
+import symdepth
 from symdepth import MonomialIdeal, SimplicialComplex, unit_ideal, zero_ideal
 from symdepth.monomial import (
+    MAX_BOX_POINTS,
+    BudgetExceeded,
     _symbolic_power_cached,
+    box_divisors,
+    divides,
     grlex_key,
     mul_exp,
     pow_exp,
@@ -505,6 +512,97 @@ class TestRandomizedProperties:
             J = random_squarefree_ideal(rng, n)
             u = random_monomial(rng, n, 2)
             assert I.intersect(J).colon(u) == I.colon(u).intersect(J.colon(u))
+
+
+def brute_force_box_divisors(gens, corner):
+    return [(c, sum(1 << j for j, g in enumerate(gens) if divides(g, c)))
+            for c in itertools.product(*(range(b + 1) for b in corner))]
+
+
+class TestBoxDivisors:
+    def test_against_brute_force(self):
+        rng = random.Random(51)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            gens = [tuple(rng.randint(0, 2) for _ in range(n))
+                    for _ in range(rng.randint(0, 6))]  # zero coordinates too
+            corner = [max((g[i] for g in gens), default=0) + rng.randint(0, 1)
+                      for i in range(n)]
+            assert box_divisors(gens, corner, "test") == \
+                brute_force_box_divisors(gens, corner)
+
+    def test_product_order(self):
+        cells = box_divisors([(1, 0, 2), (0, 1, 1)], (1, 1, 2), "test")
+        assert [c for c, _ in cells] == list(
+            itertools.product(range(2), range(2), range(3)))
+
+    def test_one_point_box(self):
+        assert box_divisors([(0, 0, 0)], (0, 0, 0), "test") == [((0, 0, 0), 1)]
+        assert box_divisors([], (0, 0), "test") == [((0, 0), 0)]
+        assert box_divisors([], (), "test") == [((), 0)]
+
+    def test_empty_generator_list(self):
+        assert box_divisors([], (1, 2), "test") == [
+            (c, 0) for c in itertools.product(range(2), range(3))]
+
+    def test_limit(self):
+        assert len(box_divisors([(1,) * 14], (1,) * 14, "test")) == MAX_BOX_POINTS
+        at_limit = box_divisors([], (MAX_BOX_POINTS - 1,), "test")
+        assert len(at_limit) == MAX_BOX_POINTS
+        with pytest.raises(BudgetExceeded) as exc:
+            box_divisors([], (MAX_BOX_POINTS,), "some")
+        assert str(exc.value) == (f"some box has {MAX_BOX_POINTS + 1} points, "
+                                  f"above the limit of {MAX_BOX_POINTS}")
+
+    def test_limit_raises_before_enumerating(self, monkeypatch):
+        monomial = importlib.import_module("symdepth.monomial")
+
+        def unreachable(gens, bounds):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(monomial, "divisor_masks", unreachable)
+        over = MonomialIdeal(1, ((MAX_BOX_POINTS,),))
+        limit = f"box has {MAX_BOX_POINTS + 1} points, above the limit of 16384"
+        with pytest.raises(BudgetExceeded) as exc:
+            symdepth.betti_table(over)
+        assert str(exc.value) == "Betti lcm " + limit
+        with pytest.raises(BudgetExceeded) as exc:
+            symdepth.characteristic_poset(over, "ideal")
+        assert str(exc.value) == "characteristic poset " + limit
+        with pytest.raises(BudgetExceeded):
+            symdepth.characteristic_poset(
+                ideal([(1, 1, 0)], 3), "quotient", g=(MAX_BOX_POINTS,) * 3)
+
+    def test_one_exception_class(self):
+        sdepth_module = importlib.import_module("symdepth.sdepth")
+        cli = importlib.import_module("symdepth.cli")
+        assert symdepth.BudgetExceeded is BudgetExceeded
+        assert sdepth_module.BudgetExceeded is BudgetExceeded
+        assert cli.BudgetExceeded is BudgetExceeded
+
+
+def _imports(module):
+    """(level, module name) of every import statement in a module's source."""
+    path = importlib.import_module(f"symdepth.{module}").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.level, node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.extend((0, alias.name) for alias in node.names)
+    return found
+
+
+class TestLayering:
+    def test_depth_engines_do_not_import_sdepth(self):
+        for module in ("depth", "monomial"):
+            assert all("sdepth" not in name for _, name in _imports(module))
+
+    def test_monomial_imports_nothing_from_the_package(self):
+        for level, name in _imports("monomial"):
+            assert level == 0 and name.split(".")[0] != "symdepth"
 
 
 class TestJsonTextRoundTrip:

@@ -23,9 +23,9 @@ from symdepth import (
     unit_ideal,
     zero_ideal,
 )
+from symdepth.monomial import MAX_BOX_POINTS
 from symdepth.sdepth import (
     DEFAULT_NODE_BUDGET,
-    MAX_BOX_POINTS,
     _Budget,
     _rho,
     counting_bound,
