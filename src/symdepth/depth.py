@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 
 from .complexes import (
     SimplicialComplex,
     _reduce_to_facets,
+    complex_of_ideal,
     homology_dims,
     mask_of,
-    submasks,
-    vertices_of,
 )
 from .homology import check_char
-from .monomial import box_divisors, check_exponents, divides, divisor_masks, support
+from .monomial import (MonomialIdeal, box_divisors, check_exponents, divides,
+                       divisor_masks, support)
 
 
 class EngineDisagreement(RuntimeError):
@@ -45,6 +46,8 @@ class DegreePair(namedtuple("DegreePair", "alpha_plus cosupport")):
     # alpha_plus: tuple; cosupport: frozenset
 
     def __new__(cls, alpha_plus, cosupport):
+        if not all(isinstance(j, int) and 0 <= j < len(alpha_plus) for j in cosupport):
+            raise ValueError(f"cosupport indices must lie in range(0, {len(alpha_plus)})")
         if support(alpha_plus) & cosupport:
             raise ValueError("cosupport must be disjoint from the support of alpha_plus")
         return super().__new__(cls, alpha_plus, cosupport)
@@ -99,15 +102,17 @@ class BettiTable(namedtuple("BettiTable", "n entries")):
 
 def takayama_complex(ideal, pair):
     """The complex whose faces are the localization sets F (disjoint from
-    the cosupport) that fail to absorb x^alpha_plus."""
+    the cosupport G) that fail to absorb x^alpha_plus: the free sets that
+    hold no excess set {i not in G : g_i > alpha_i} of a generator g.  By
+    Alexander duality it is the Stanley-Reisner complex of the ideal of the
+    excess sets and the variables of G, void when that is the unit ideal
+    (some excess set is empty)."""
     alpha = check_exponents(pair.alpha_plus, ideal.n)
-    cos_mask = mask_of(pair.cosupport)
-    free_mask = ((1 << ideal.n) - 1) & ~cos_mask
-    faces = [
-        f for f in submasks(free_mask)
-        if not ideal.localized_contains(alpha, vertices_of(f | cos_mask))
-    ]
-    return SimplicialComplex.from_face_masks(ideal.n, faces)
+    cap = [float("inf") if i in pair.cosupport else a for i, a in enumerate(alpha)]
+    excess = {tuple(map(int, map(operator.gt, g, cap))) for g in ideal.gens}
+    variables = {tuple(int(i == j) for i in range(ideal.n)) for j in pair.cosupport}
+    dual = MonomialIdeal.from_generators(excess | variables, ideal.n)
+    return SimplicialComplex(ideal.n, ()) if dual.is_unit else complex_of_ideal(dual)
 
 
 # The engines' homology memo, keyed on (facets, char).  Only the engines
@@ -175,17 +180,17 @@ def depth_via_takayama(ideal, char=0):
     """Depth of S/I as the least cohomological degree with a nonvanishing
     witness multidegree, searched over the finite exponent box.
 
-    The witness is the first multidegree of the scan (cosupports by size,
-    then in lex order; alpha_plus in lex order) that reaches the least
-    degree.  Cosupports that miss a free variable (one in no generator)
-    are skipped: every complex there is a cone or void.  When I is an
-    intersection of prime powers, so is a cosupport G with a vertex
-    outside G in no prime missing G (no live prime): that vertex lies in
-    every facet at G.  Any other cosupport takes one multidegree per
-    distinct set of short primes, not every multidegree of the box.
-    A principal ideal (x^a) has depth n - 1 with the witness the scan
-    would find: alpha_plus = 0 and the cosupport outside supp(a), where
-    the complex is the boundary of the simplex on supp(a)."""
+    The witness is the first multidegree of the scan (cosupports G by
+    size, then in lex order; alpha_plus in lex order) that reaches the
+    least degree, min(dims) + |G| + 1 >= |G|: the scan stops at the first
+    that reaches |G|.  Cosupports that miss a free variable (one in no
+    generator) are skipped: every complex there is a cone or void.  When I
+    is an intersection of prime powers, so is a G with a vertex outside it
+    in no live prime (one missing G), and any other G takes one
+    multidegree per set of short primes; else takayama_complex is built at
+    each alpha_plus.  A principal ideal (x^a) has depth n - 1 with the
+    witness the scan would find: alpha_plus = 0, the cosupport outside
+    supp(a), the complex the boundary of the simplex on supp(a)."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
@@ -242,6 +247,10 @@ def depth_via_takayama(ideal, char=0):
                 i = min(dims) + csize + 1
                 if best is None or i < best[0]:
                     best = (i, csize, cosupport, alpha, i - csize - 1)
+                    if i == csize:
+                        break  # every index is >= |G|: nothing later is smaller
+            if best is not None and best[0] == csize:
+                break
     if best is None:
         raise RuntimeError("no nonvanishing cohomology found; search box bug")
     i, _, cosupport, alpha, h_index = best

@@ -309,15 +309,16 @@ def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
 
 
 def _minimal_generators(poset):
-    """The minimal points of the box [0, g] that lie in the ideal."""
-    if poset.kind == "ideal":
-        inside = set(poset.points)
-    else:
-        outside = set(poset.points)
-        inside = {c for c in itertools.product(*(range(b + 1) for b in poset.g))
-                  if c not in outside}
-    return [c for c in inside if not any(
-        c[:i] + (x - 1,) + c[i + 1:] in inside for i, x in enumerate(c) if x)]
+    """The minimal points of the box [0, g] that lie in the ideal: the
+    minimal poset points, or for a quotient poset the points one step above
+    a poset point that lie outside it with every lower neighbour inside."""
+    points, inside = set(poset.points), poset.kind == "ideal"
+    candidates = points if inside else {
+        c[:i] + (x + 1,) + c[i + 1:]
+        for c in points for i, x in enumerate(c) if x < poset.g[i]} - points
+    return [c for c in candidates if all(
+        (c[:i] + (x - 1,) + c[i + 1:] in points) != inside
+        for i, x in enumerate(c) if x)]
 
 
 def _split(ideal, kind, s, budget, parts):

@@ -25,11 +25,12 @@ from symdepth.complexes import (
     homology_dims,
     mask_of,
     submasks,
+    vertices_of,
 )
 from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
 from symdepth.monomial import MAX_BOX_POINTS
-from symdepth.monomial import divides, lcm_exp, support
+from symdepth.monomial import check_exponents, divides, lcm_exp, support
 
 from _corpus import (
     RP2_FACETS,
@@ -345,9 +346,23 @@ class TestCrossCheck:
         assert exc.witness_a.depth == 1 and exc.witness_b.depth == 2
 
 
+def reference_takayama_complex(ideal, pair):
+    """The subset scan: the localization sets F (disjoint from the
+    cosupport) that fail to absorb x^alpha_plus, each of the 2^|free|
+    subsets tested by the membership definition."""
+    alpha = check_exponents(pair.alpha_plus, ideal.n)
+    cos_mask = mask_of(pair.cosupport)
+    free_mask = ((1 << ideal.n) - 1) & ~cos_mask
+    faces = [
+        f for f in submasks(free_mask)
+        if not ideal.localized_contains(alpha, vertices_of(f | cos_mask))
+    ]
+    return SimplicialComplex.from_face_masks(ideal.n, faces)
+
+
 def reference_takayama_witness(ideal, char=0):
-    """The generic Takayama scan: takayama_complex at every cosupport and
-    every alpha of the box, whatever the ideal's form."""
+    """The generic Takayama scan: reference_takayama_complex at every
+    cosupport and every alpha of the box, whatever the ideal's form."""
     n = ideal.n
     rho = ideal.generator_degree_bounds()
     best = None  # (depth, cosupport, alpha_plus, homology index)
@@ -359,7 +374,8 @@ def reference_takayama_witness(ideal, char=0):
                       for j in range(n)]
             for alpha in itertools.product(*ranges):
                 pair = DegreePair(alpha, frozenset(cosupport))
-                dims = takayama_complex(ideal, pair).reduced_homology(char).dims
+                dims = reference_takayama_complex(ideal, pair).reduced_homology(
+                    char).dims
                 if dims and (best is None or dims[0][0] + csize + 1 < best[0]):
                     best = (dims[0][0] + csize + 1, cosupport, alpha, dims[0][0])
     i, cosupport, alpha, h_index = best
@@ -373,7 +389,7 @@ _reference_homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
 def reference_depth_via_takayama(ideal, char=0):
     """The full box scan: with a prime-power form, the short primes are
     read off the exponent sums at every alpha of the box, however often
-    the sums repeat; otherwise takayama_complex at every alpha."""
+    the sums repeat; otherwise reference_takayama_complex at every alpha."""
     n = ideal.n
     if ideal.is_zero:
         return DepthWitness(depth=n, engine="takayama", char=char)
@@ -404,7 +420,7 @@ def reference_depth_via_takayama(ideal, char=0):
                     )
                 else:
                     pair = DegreePair(alpha, frozenset(cosupport))
-                    facets = takayama_complex(ideal, pair).facets
+                    facets = reference_takayama_complex(ideal, pair).facets
                 dims = _reference_homology_dims(facets, char)
                 if not dims:
                     continue
@@ -414,6 +430,83 @@ def reference_depth_via_takayama(ideal, char=0):
     i, _, cosupport, alpha, h_index = best
     return DepthWitness(depth=i, engine="takayama", char=char, alpha_plus=alpha,
                         cosupport=cosupport, homology_index=h_index)
+
+
+def _ordinary_power_plus_x1_5():
+    """C6^3 + (x1^5): an ordinary power with no prime-power form."""
+    cube = cycle(6).power(3)
+    return ideal(cube.gens + ((5, 0, 0, 0, 0, 0),), 6)
+
+
+class TestGenericPath:
+    """Ideals without a prime-power form take takayama_complex at every
+    multidegree; it is checked against the subset scan, and the scan stops
+    at the first multidegree whose index is its cosupport size."""
+
+    def test_builder_matches_subset_scan(self):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            shape = rng.randrange(10)
+            if shape == 0:
+                I = zero_ideal(n)
+            elif shape == 1:
+                I = unit_ideal(n)
+            else:
+                I = ideal([random_monomial(rng, n, 3)
+                           for _ in range(rng.randint(1, 6))], n)
+            if rng.randrange(5):
+                G = frozenset(j for j in range(n) if not rng.randrange(3))
+            else:
+                G = frozenset(range(n))
+            # exponents up to 4: past the box of every generator
+            alpha = tuple(0 if j in G else rng.randint(0, 4) for j in range(n))
+            pair = DegreePair(alpha, G)
+            built = takayama_complex(I, pair)
+            assert built == reference_takayama_complex(I, pair), (I, pair)
+            seen.add("void" if built.is_void else
+                     "empty" if built.is_empty_complex else "other")
+        assert seen == {"void", "empty", "other"}
+
+    def test_generic_path_takes_no_membership_test(self, monkeypatch):
+        J = _ordinary_power_plus_x1_5()
+        assert J.prime_structure() is None
+
+        def refuse(self, u, inverted):
+            raise AssertionError("membership test on the generic path")
+
+        monkeypatch.setattr(MonomialIdeal, "localized_contains", refuse)
+        witness = depth_via_takayama.__wrapped__(J)
+        assert witness.to_dict() == {
+            "depth": 1, "engine": "takayama", "char": 0,
+            "alpha_plus": [0, 0, 1, 2, 1, 0], "cosupport": [],
+            "homology_index": 0,
+        }
+
+    def test_stop_rule_on_cycle_5_cube(self, monkeypatch):
+        # the witness has index 0 at the empty cosupport, so nothing after
+        # it is scanned: 122 homology calls, against 243 for the whole box
+        engine = importlib.import_module("symdepth.depth")
+        memo = functools.lru_cache(maxsize=None)(homology_dims)
+        calls = []
+
+        def counted(facets, char):
+            calls.append(1)
+            return memo(facets, char)
+
+        monkeypatch.setattr(engine, "_homology_dims", counted)
+        J = cycle(5).power(3)
+        witness = depth_via_takayama.__wrapped__(J)
+        assert len(calls) == 122
+        assert witness.depth == 0 and witness.cosupport == ()
+        assert witness == reference_depth_via_takayama(J)
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_ordinary_powers(self, char):
+        for J in (cycle(5).power(2), cycle(5).power(3), cycle(7).power(2),
+                  _ordinary_power_plus_x1_5()):
+            _assert_same_witness(J, char)
 
 
 def _spread(u, slots, m):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -581,13 +582,17 @@ class TestBoxDivisors:
         assert cli.BudgetExceeded is BudgetExceeded
 
 
-def _imports(module):
-    """(level, module name) of every import statement in a module's source."""
+def _tree(module):
+    """The syntax tree of a module's source."""
     path = importlib.import_module(f"symdepth.{module}").__file__
     with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+def _imports(module):
+    """(level, module name) of every import statement in a module's source."""
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom):
             found.append((node.level, node.module or ""))
         elif isinstance(node, ast.Import):
@@ -603,6 +608,22 @@ class TestLayering:
     def test_monomial_imports_nothing_from_the_package(self):
         for level, name in _imports("monomial"):
             assert level == 0 and name.split(".")[0] != "symdepth"
+
+    def test_every_imported_name_is_used(self):
+        # __init__ imports to re-export; every other module uses each name
+        # it imports (__future__ features aside)
+        modules = [info.name for info in pkgutil.iter_modules(symdepth.__path__)]
+        assert "depth" in modules and "__init__" not in modules
+        for module in modules:
+            tree = _tree(module)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = (alias.asname or alias.name).split(".")[0]
+                        assert name in used, f"{module} imports {name} unused"
 
 
 class TestJsonTextRoundTrip:

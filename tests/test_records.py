@@ -103,6 +103,10 @@ def test_constructors_validate():
         DegreePair((1, 0), frozenset({0}))
     with pytest.raises(ValueError, match="disjoint"):
         DegreePair(alpha_plus=(0, 2), cosupport=frozenset({1}))
+    for index in (7, 3, -1, "0", 1.0):
+        with pytest.raises(ValueError, match="cosupport indices"):
+            DegreePair((0, 0, 0), frozenset({index}))
+    assert DegreePair((0, 0, 0), frozenset({0, 2})).cosupport == {0, 2}
     with pytest.raises(ValueError, match="out of order"):
         Interval((1, 0), (0, 1))
     with pytest.raises(ValueError, match="out of order"):

@@ -27,6 +27,7 @@ from symdepth.monomial import MAX_BOX_POINTS
 from symdepth.sdepth import (
     DEFAULT_NODE_BUDGET,
     _Budget,
+    _minimal_generators,
     _rho,
     counting_bound,
     splitting_witness,
@@ -632,7 +633,47 @@ class TestAgainstReferenceSearch:
                     assert new.nodes == old.nodes
 
 
+def reference_minimal_generators(poset):
+    """The box walk: the minimal points of the box [0, g] that lie in the
+    ideal, the box enumerated again for a quotient poset."""
+    if poset.kind == "ideal":
+        inside = set(poset.points)
+    else:
+        outside = set(poset.points)
+        inside = {c for c in itertools.product(*(range(b + 1) for b in poset.g))
+                  if c not in outside}
+    return [c for c in inside if not any(
+        c[:i] + (x - 1,) + c[i + 1:] in inside for i, x in enumerate(c) if x)]
+
+
 class TestSplittingWitness:
+    def test_generators_match_the_box_walk(self):
+        rng = random.Random(53)
+        posets = [characteristic_poset(I.symbolic_power(k), kind)
+                  for I in corpus() for k in (1, 2)
+                  for kind in ("ideal", "quotient")]
+        for _ in range(100):  # boxes past the generators, exponents to 3
+            n = rng.randint(1, 4)
+            I = ideal([random_monomial(rng, n, 3)
+                       for _ in range(rng.randint(1, 4))], n)
+            g = tuple(b + rng.randint(0, 1) for b in I.generator_degree_bounds())
+            for kind in ("ideal", "quotient"):
+                if not (kind == "quotient" and I.is_unit):
+                    posets.append(characteristic_poset(I, kind, g))
+        posets.append(characteristic_poset(zero_ideal(3), "quotient", (1, 2, 1)))
+        for poset in posets:
+            assert sorted(_minimal_generators(poset)) == sorted(
+                reference_minimal_generators(poset)), poset
+
+    def test_frontier_witness_with_the_box_walk(self, monkeypatch):
+        # the S/C6^(2) witness is the one the box walk's generators give
+        poset = characteristic_poset(cycle(6).symbolic_power(2), "quotient")
+        witness = splitting_witness(poset, 2, 1000)
+        monkeypatch.setattr(importlib.import_module("symdepth.sdepth"),
+                            "_minimal_generators", reference_minimal_generators)
+        assert splitting_witness(poset, 2, 1000) == witness
+        assert len(witness.intervals) == 33
+
     @pytest.mark.parametrize("ideal_, k, intervals", [
         (cycle(6), 2, 33), (path(5), 3, 50),
     ], ids=["C6^(2)", "P5^(3)"])
