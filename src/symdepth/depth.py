@@ -46,7 +46,10 @@ class DegreePair(namedtuple("DegreePair", "alpha_plus cosupport")):
     # alpha_plus: tuple; cosupport: frozenset
 
     def __new__(cls, alpha_plus, cosupport):
-        if not all(isinstance(j, int) and 0 <= j < len(alpha_plus) for j in cosupport):
+        alpha_plus = check_exponents(alpha_plus, len(alpha_plus))
+        cosupport = frozenset(cosupport)
+        if not all(isinstance(j, int) and not isinstance(j, bool)
+                   and 0 <= j < len(alpha_plus) for j in cosupport):
             raise ValueError(f"cosupport indices must lie in range(0, {len(alpha_plus)})")
         if support(alpha_plus) & cosupport:
             raise ValueError("cosupport must be disjoint from the support of alpha_plus")
@@ -221,10 +224,10 @@ def depth_via_takayama(ideal, char=0):
     # combinations of the other variables.
     free = tuple(j for j in range(n) if not rho[j])
     others = [j for j in range(n) if rho[j]]
-    best = None  # (i, csize, cosupport tuple, alpha_plus, homology index)
+    best = None  # the witness of the least index so far
     for csize in range(len(free), n + 1):
-        if best is not None and best[0] <= csize:
-            break
+        if best is not None and best.depth <= csize:
+            return best
         for rest in itertools.combinations(others, csize - len(free)):
             cosupport = tuple(sorted(rest + free))
             if structure is None:
@@ -245,23 +248,14 @@ def depth_via_takayama(ideal, char=0):
                 if not dims:
                     continue
                 i = min(dims) + csize + 1
-                if best is None or i < best[0]:
-                    best = (i, csize, cosupport, alpha, i - csize - 1)
+                if best is None or i < best.depth:
+                    best = DepthWitness(i, "takayama", char, alpha, cosupport,
+                                        i - csize - 1)
                     if i == csize:
-                        break  # every index is >= |G|: nothing later is smaller
-            if best is not None and best[0] == csize:
-                break
+                        return best  # each index is >= |G|: none is smaller
     if best is None:
         raise RuntimeError("no nonvanishing cohomology found; search box bug")
-    i, _, cosupport, alpha, h_index = best
-    return DepthWitness(
-        depth=i,
-        engine="takayama",
-        char=char,
-        alpha_plus=alpha,
-        cosupport=cosupport,
-        homology_index=h_index,
-    )
+    return best
 
 
 # --------------------------------------------------------------------------

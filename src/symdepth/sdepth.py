@@ -289,9 +289,45 @@ def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
     (Herzog-Vladoiu-Zheng), which are shifted, embedded and cut back to
     the box of the poset.  Each part costs one node."""
     budget = _Budget(node_budget)
-    ideal = MonomialIdeal.from_generators(_minimal_generators(poset), poset.n)
+
+    def split(ideal):
+        """Stanley spaces (e, z) of the module, z the 0/1 vector of the
+        free variables, each with at least s of them, from the first
+        variable whose split parts both reach s; None if no variable does."""
+        bounds = ideal.generator_degree_bounds()
+        for i in range(ideal.n):
+            if not bounds[i]:
+                continue  # (I : x_i) = I
+            restriction, colon = split_by_variable(ideal, i)
+            lower = cover(restriction)
+            upper = None if lower is None else cover(colon)
+            if upper is None:
+                continue
+            return ([(e[:i] + (0,) + e[i:], z[:i] + (0,) + z[i:])
+                     for e, z in lower]
+                    + [(e[:i] + (e[i] + 1,) + e[i + 1:], z) for e, z in upper])
+        return None
+
+    @functools.cache
+    def cover(ideal):
+        """Stanley spaces of one part, as split returns them, or None; a
+        part met again costs no node."""
+        budget.tick()
+        if (ideal.is_zero if poset.kind == "ideal" else ideal.is_unit):
+            return []  # the zero module
+        if s > ideal.n:
+            return None
+        part = characteristic_poset(ideal, poset.kind)
+        if len(part.points) > SPLIT_SEARCH_POINTS and ideal.n > 1:
+            return split(ideal)
+        witness = sdepth_at_least(part, s, budget)
+        return None if witness is None else [
+            (e, z) for iv in witness.intervals
+            for e, z in _stanley_spaces(iv, part.g)]
+
     try:
-        spaces = _split(ideal, poset.kind, s, budget, {})
+        spaces = split(MonomialIdeal.from_generators(
+            _minimal_generators(poset), poset.n))
     except BudgetExceeded:
         return None
     if spaces is None:
@@ -319,50 +355,6 @@ def _minimal_generators(poset):
     return [c for c in candidates if all(
         (c[:i] + (x - 1,) + c[i + 1:] in points) != inside
         for i, x in enumerate(c) if x)]
-
-
-def _split(ideal, kind, s, budget, parts):
-    """Stanley spaces (e, z) of the module, z the 0/1 vector of the free
-    variables, each with at least s of them, from the first variable whose
-    split parts both reach s; None if no variable does."""
-    bounds = ideal.generator_degree_bounds()
-    for i in range(ideal.n):
-        if not bounds[i]:
-            continue  # (I : x_i) = I
-        restriction, colon = split_by_variable(ideal, i)
-        lower = _cover(restriction, kind, s, budget, parts)
-        if lower is None:
-            continue
-        upper = _cover(colon, kind, s, budget, parts)
-        if upper is None:
-            continue
-        return ([(e[:i] + (0,) + e[i:], z[:i] + (0,) + z[i:])
-                 for e, z in lower]
-                + [(e[:i] + (e[i] + 1,) + e[i + 1:], z) for e, z in upper])
-    return None
-
-
-def _cover(ideal, kind, s, budget, parts):
-    """Stanley spaces of one part, as _split returns them, or None;
-    memoized in parts for the splitting at level s."""
-    if ideal in parts:
-        return parts[ideal]
-    budget.tick()
-    if kind == "ideal" and ideal.is_zero or kind == "quotient" and ideal.is_unit:
-        spaces = []  # the zero module
-    elif s > ideal.n:
-        spaces = None
-    else:
-        poset = characteristic_poset(ideal, kind)
-        if len(poset.points) > SPLIT_SEARCH_POINTS and ideal.n > 1:
-            spaces = _split(ideal, kind, s, budget, parts)
-        else:
-            witness = sdepth_at_least(poset, s, budget)
-            spaces = None if witness is None else [
-                (e, z) for iv in witness.intervals
-                for e, z in _stanley_spaces(iv, poset.g)]
-    parts[ideal] = spaces
-    return spaces
 
 
 def _stanley_spaces(interval, g):

@@ -34,22 +34,9 @@ class StabilityReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self):
-        out = {
-            "quantity": self.quantity,
-            "kmax": self.kmax,
-            "values": list(self.values),
-            "window_min": self.window_min,
-            "first_attainment": self.first_attainment,
-            "square_bound": self.square_bound,
-            "tail_guarantee": self.tail_guarantee,
-            "certified": self.certified,
-            "certification_rule": self.certification_rule,
-            "char": self.char,
-        }
-        if self.ell_s_estimate is not None:
-            out["ell_s_estimate"] = self.ell_s_estimate
-        if self.bight_bound is not None:
-            out["bight_bound"] = self.bight_bound
+        out = dict(self._asdict(), values=list(self.values))
+        optional = {k: out.pop(k) for k in ("ell_s_estimate", "bight_bound")}
+        out.update((k, v) for k, v in optional.items() if v is not None)
         return out
 
 
@@ -170,42 +157,45 @@ def _admissible_j(m, k):
     return [j for j in range(m - k, m + 1) if k * m + j >= 1]
 
 
-def verify_depth_comparison(ideal, m, k, char=0):
-    """Takayama depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
+def _check(name, ideal, rows, details=None):
+    """The check over the rows: its counterexample is the first row whose
+    ok is false, or that row's entry in details, with the ideal's
+    generators attached."""
+    failed = next((i for i, row in enumerate(rows) if not row["ok"]), None)
+    counterexample = None if failed is None else dict(
+        (rows if details is None else details)[failed],
+        ideal=[list(g) for g in ideal.gens])
+    return CheckResult(name, failed is None, tuple(rows), counterexample)
+
+
+def _compare_powers(name, ideal, m, k, kinds, value):
+    """value(kind, I^(m)) >= value(kind, I^(km+j)) for each kind and all
+    admissible j; a kind of None puts no "kind" key in the rows."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    lhs = depth_via_takayama(ideal.symbolic_power(m), char).depth
-    comparisons = []
-    counterexample = None
-    for j in _admissible_j(m, k):
-        rhs = depth_via_takayama(ideal.symbolic_power(k * m + j), char).depth
-        ok = lhs >= rhs
-        row = {"m": m, "k": k, "j": j, "lhs": lhs, "rhs": rhs, "ok": ok}
-        comparisons.append(row)
-        if not ok and counterexample is None:
-            counterexample = dict(row, ideal=[list(g) for g in ideal.gens])
-    return CheckResult("depsym", counterexample is None, tuple(comparisons),
-                       counterexample)
+    rows = []
+    for kind in kinds:
+        lhs = value(kind, ideal.symbolic_power(m))
+        for j in _admissible_j(m, k):
+            rhs = value(kind, ideal.symbolic_power(k * m + j))
+            rows.append(dict({} if kind is None else {"kind": kind},
+                             m=m, k=k, j=j, lhs=json_value(lhs),
+                             rhs=json_value(rhs), ok=lhs >= rhs))
+    return _check(name, ideal, rows)
+
+
+def verify_depth_comparison(ideal, m, k, char=0):
+    """Takayama depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
+    return _compare_powers(
+        "depsym", ideal, m, k, (None,),
+        lambda _, power: depth_via_takayama(power, char).depth)
 
 
 def verify_sdepth_comparison(ideal, m, k, node_budget=DEFAULT_NODE_BUDGET):
     """sdepth(I^(m)) >= sdepth(I^(km+j)) and the quotient analogue."""
-    if m < 1 or k < 1:
-        raise ValueError("m and k must be >= 1")
-    comparisons = []
-    counterexample = None
-    for kind in ("ideal", "quotient"):
-        lhs = sdepth(ideal.symbolic_power(m), kind, node_budget).value
-        for j in _admissible_j(m, k):
-            rhs = sdepth(ideal.symbolic_power(k * m + j), kind, node_budget).value
-            ok = lhs >= rhs
-            row = {"kind": kind, "m": m, "k": k, "j": j,
-                   "lhs": json_value(lhs), "rhs": json_value(rhs), "ok": ok}
-            comparisons.append(row)
-            if not ok and counterexample is None:
-                counterexample = dict(row, ideal=[list(g) for g in ideal.gens])
-    return CheckResult("sdepsym", counterexample is None, tuple(comparisons),
-                       counterexample)
+    return _compare_powers(
+        "sdepsym", ideal, m, k, ("ideal", "quotient"),
+        lambda kind, power: sdepth(power, kind, node_budget).value)
 
 
 def verify_power_membership(ideal, m, k, samples=100, seed=0):
@@ -215,23 +205,16 @@ def verify_power_membership(ideal, m, k, samples=100, seed=0):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    comparisons = []
-    counterexample = None
+    rows, details = [], []
     for _ in range(samples):
         u = tuple(rng.randint(0, m + k) for _ in range(ideal.n))
         lhs = ideal.symbolic_contains(m, u)
         for j in _admissible_j(m, k):
             rhs = ideal.symbolic_contains(k * m + j, pow_exp(u, k + 1))
-            ok = lhs == rhs
-            if not ok and counterexample is None:
-                counterexample = {
-                    "u": list(u), "m": m, "k": k, "j": j,
-                    "lhs": lhs, "rhs": rhs,
-                    "ideal": [list(g) for g in ideal.gens],
-                }
-            comparisons.append({"u": list(u), "j": j, "ok": ok})
-    return CheckResult("power-lemma", counterexample is None,
-                       tuple(comparisons), counterexample)
+            rows.append({"u": list(u), "j": j, "ok": lhs == rhs})
+            details.append({"u": list(u), "m": m, "k": k, "j": j,
+                            "lhs": lhs, "rhs": rhs})
+    return _check("power-lemma", ideal, rows, details)
 
 
 def verify_colon_identity(ideal, kmax):
@@ -243,25 +226,18 @@ def verify_colon_identity(ideal, kmax):
         raise ValueError("the colon identity requires an unmixed ideal")
     h = ideal.height()
     all_vars = (1,) * ideal.n
-    comparisons = []
-    counterexample = None
+    rows, details = [], []
     for k in range(1, kmax + 1):
         actual = ideal.symbolic_power(k).colon(all_vars)
         if k <= h:
             expected = MonomialIdeal.from_generators([(0,) * ideal.n], ideal.n)
         else:
             expected = ideal.symbolic_power(k - h)
-        ok = actual == expected
-        comparisons.append({"k": k, "height": h, "ok": ok})
-        if not ok and counterexample is None:
-            counterexample = {
-                "k": k, "height": h,
-                "actual": [list(g) for g in actual.gens],
-                "expected": [list(g) for g in expected.gens],
-                "ideal": [list(g) for g in ideal.gens],
-            }
-    return CheckResult("colon-lemma", counterexample is None,
-                       tuple(comparisons), counterexample)
+        rows.append({"k": k, "height": h, "ok": actual == expected})
+        details.append({"k": k, "height": h,
+                        "actual": [list(g) for g in actual.gens],
+                        "expected": [list(g) for g in expected.gens]})
+    return _check("colon-lemma", ideal, rows, details)
 
 
 def verify_splitting_bound(ideal, variable=0, node_budget=DEFAULT_NODE_BUDGET):
@@ -271,19 +247,10 @@ def verify_splitting_bound(ideal, variable=0, node_budget=DEFAULT_NODE_BUDGET):
     lhs = sdepth(ideal, "ideal", node_budget).value
     restr_val = sdepth(restriction, "ideal", node_budget).value
     colon_val = sdepth(colon_part, "ideal", node_budget).value
-    rhs = min(restr_val, colon_val)
-    ok = lhs >= rhs
-    row = {
-        "variable": variable + 1,
-        "lhs": json_value(lhs),
-        "restriction": json_value(restr_val),
-        "colon": json_value(colon_val),
-        "ok": ok,
-    }
-    counterexample = None if ok else dict(
-        row, ideal=[list(g) for g in ideal.gens]
-    )
-    return CheckResult("splitting-bound", ok, (row,), counterexample)
+    return _check("splitting-bound", ideal, [{
+        "variable": variable + 1, "lhs": json_value(lhs),
+        "restriction": json_value(restr_val), "colon": json_value(colon_val),
+        "ok": lhs >= min(restr_val, colon_val)}])
 
 
 def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
@@ -310,20 +277,17 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
         )
         return MatroidReport(n, d, n - d - 1, rows, True, degenerate=True,
                              char=char)
+    dim = n - ideal.height()
     rows = []
-    all_hold = True
     for k in range(1, kmax + 1):
-        power = ideal.symbolic_power(k)
-        dep = depth(power, "cross_check", char).depth
-        dim = n - ideal.height()
-        sq = sdepth(power, "quotient", node_budget).value
-        si = sdepth(power, "ideal", node_budget).value
-        claims = (dep == d + 1) and (dep == dim) and (sq == dep) and (si >= d + 2)
-        all_hold = all_hold and claims
+        dep, sq, si = (_value_at(ideal, k, q, "cross_check", char, node_budget)
+                       for q in ("depth", "sdepth_quotient", "sdepth_ideal"))
         rows.append({
             "k": k, "depth": dep, "dim": dim, "cohen_macaulay": dep == dim,
             "sdepth_quotient": sq,
             "sdepth_ideal": json_value(si),
-            "claims_hold": claims,
+            "claims_hold": (dep == d + 1) and (dep == dim) and (sq == dep)
+            and (si >= d + 2),
         })
-    return MatroidReport(n, d, n - d - 1, tuple(rows), all_hold, char=char)
+    return MatroidReport(n, d, n - d - 1, tuple(rows),
+                         all(row["claims_hold"] for row in rows), char=char)

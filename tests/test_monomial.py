@@ -625,6 +625,44 @@ class TestLayering:
                         name = (alias.asname or alias.name).split(".")[0]
                         assert name in used, f"{module} imports {name} unused"
 
+    def test_every_private_helper_is_reached(self):
+        # a module-level _name of src must be reached from the public names
+        # and module-level code, so that a helper left behind by a refactor
+        # fails here, also when it only calls another such helper
+        def referenced(node):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    yield sub.id
+                elif isinstance(sub, ast.Attribute):
+                    yield sub.attr
+                elif isinstance(sub, ast.ImportFrom):
+                    yield from (alias.name for alias in sub.names)
+
+        with open(symdepth.__file__, encoding="utf-8") as fh:
+            statements = ast.parse(fh.read()).body
+        for info in pkgutil.iter_modules(symdepth.__path__):
+            statements += _tree(info.name).body
+        private, reached = {}, set()
+        for node in statements:
+            names = [node.name] if isinstance(
+                node, (ast.FunctionDef, ast.ClassDef)) else [
+                t.id for t in getattr(node, "targets", ())
+                if isinstance(t, ast.Name)]
+            helpers = [n for n in names
+                       if n.startswith("_") and not n.startswith("__")]
+            for name in helpers:
+                private.setdefault(name, []).append(node)
+            if not helpers:
+                reached.update(referenced(node))
+        todo = list(reached & private.keys())
+        while todo:
+            for node in private[todo.pop()]:
+                for name in set(referenced(node)) - reached:
+                    reached.add(name)
+                    if name in private:
+                        todo.append(name)
+        assert sorted(private.keys() - reached) == []
+
 
 class TestJsonTextRoundTrip:
     def test_json(self):

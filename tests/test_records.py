@@ -114,3 +114,23 @@ def test_constructors_validate():
     pair = DegreePair(alpha_plus=(0, 1), cosupport=frozenset({0}))
     assert pair == DegreePair((0, 1), frozenset({0}))
     assert pair == ((0, 1), frozenset({0}))
+
+
+def test_degree_pair_fields_are_canonical_and_hashable():
+    # any iterable cosupport is stored as a frozenset, alpha_plus as a tuple
+    for cosupport in ((0, 2), [0, 2], {0, 2}, frozenset({0, 2})):
+        pair = DegreePair((0, 1, 0), cosupport)
+        assert type(pair.cosupport) is frozenset
+        assert pair == ((0, 1, 0), frozenset({0, 2}))
+        assert hash(pair) == hash(((0, 1, 0), frozenset({0, 2})))
+    pair = DegreePair([0, 1, 0], {0})
+    assert type(pair.alpha_plus) is tuple and hash(pair) == hash(
+        ((0, 1, 0), frozenset({0})))
+    # booleans are not indices, as in formats._json_int
+    for index in (True, False):
+        with pytest.raises(ValueError, match="cosupport indices"):
+            DegreePair((0, 0, 0), frozenset({index}))
+    # negative or non-integer exponents fail here, not later
+    for alpha_plus in ((0, -1, 0), (0, 1.0, 0), (0, "1", 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            DegreePair(alpha_plus, frozenset())
