@@ -48,7 +48,7 @@ def _reduce_to_facets(masks):
     for m in sorted(set(masks), reverse=True):
         if not any(m & f == m for f in facets):
             facets.append(m)
-    return tuple(sorted(facets, key=lambda m: (bin(m).count("1"), m)))
+    return tuple(sorted(facets, key=lambda m: (m.bit_count(), m)))
 
 
 def strong_core(facets):
@@ -153,7 +153,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
 
     def dim(self):
         self._require_not_void()
-        return max(bin(f).count("1") for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def vertex_mask(self):
         mask = 0
@@ -199,17 +199,17 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
 
     def is_pure(self):
         self._require_not_void()
-        cards = {bin(f).count("1") for f in self.facets}
+        cards = {f.bit_count() for f in self.facets}
         return len(cards) == 1
 
     def is_matroid(self):
         """Exchange-axiom check; returns (True, None) or (False, (F, G))
         with a violating pair of faces."""
         self._require_not_void()
-        faces = sorted(self.face_masks(), key=lambda m: (bin(m).count("1"), m))
+        faces = sorted(self.face_masks(), key=lambda m: (m.bit_count(), m))
         face_set = set(faces)
         for big, small in itertools.product(faces, faces):
-            if bin(big).count("1") <= bin(small).count("1"):
+            if big.bit_count() <= small.bit_count():
                 continue
             if not _has_exchange(small, big & ~small, face_set):
                 return False, (vertices_of(big), vertices_of(small))
@@ -230,7 +230,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
         """Number of faces per cardinality, {cardinality: count}."""
         counts = {}
         for m in self.face_masks():
-            c = bin(m).count("1")
+            c = m.bit_count()
             counts[c] = counts.get(c, 0) + 1
         return counts
 

@@ -22,7 +22,7 @@ from .complexes import (
     mask_of,
 )
 from .homology import check_char
-from .monomial import (MonomialIdeal, box_divisors, check_exponents, divides,
+from .monomial import (MonomialIdeal, check_box, check_exponents, divides,
                        divisor_masks, support)
 
 
@@ -272,47 +272,65 @@ def upper_koszul_complex(ideal, alpha):
     box = ideal.generator_degree_bounds()
     if any(a > b for a, b in zip(alpha, box)):
         raise ValueError(f"degree {alpha} exceeds the lcm box {box}")
-    return SimplicialComplex.from_face_masks(
-        ideal.n, [_slack_mask(g, alpha) for g in ideal.gens if divides(g, alpha)]
-    )
-
-
-def _slack_mask(g, alpha):
-    return mask_of(i for i, (a, b) in enumerate(zip(g, alpha)) if a < b)
+    return SimplicialComplex.from_face_masks(ideal.n, [
+        mask_of(i for i, (a, b) in enumerate(zip(g, alpha)) if a < b)
+        for g in ideal.gens if divides(g, alpha)
+    ])
 
 
 def betti_table(ideal, char=0):
     """Multigraded Betti numbers of S/I from reduced homology of the
-    upper Koszul complexes over the lcm box.
+    upper Koszul complexes at the lcm-lattice points of the lcm box.
 
     Only lcm-lattice points can carry a nonzero Betti number
     (Gasharov-Peeva-Welker): where some coordinate i has no dividing
     generator with g_i = alpha_i, every slack set contains i and the
-    complex is a cone.  monomial.box_divisors gives each box point with
-    the bitmask of its dividing generators, and the per-coordinate masks
-    of the generators with g_i = alpha_i give this test; complexes are
-    built only at the remaining lattice points.  A box of more than
-    MAX_BOX_POINTS points raises BudgetExceeded before the scan."""
+    complex is a cone.  The scan walks the box one coordinate at a time,
+    in itertools.product order, and carries for each prefix the
+    generators that still divide it (ANDs of divisor_masks' at_most
+    rows) split into groups with equal slack sets so far, as (members,
+    slack) bitmask pairs.  A prefix is dropped once no divisor is tight
+    at its last coordinate or every group's slack shares a bit: divisors
+    only shrink as the prefix grows, so each completion is void or a
+    cone.  At a full alpha the group slacks are the distinct slack sets
+    of upper_koszul_complex.  check_box raises BudgetExceeded for a box
+    of more than MAX_BOX_POINTS points before the walk."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
     n = ideal.n
     entries = {(0, (0,) * n): 1}
     if not ideal.is_zero:
-        gens = ideal.gens
         box = ideal.generator_degree_bounds()
-        cells = box_divisors(gens, box, "Betti lcm")
-        exactly = divisor_masks(gens, box)[0]
-        for alpha, divisors in cells:
-            if not divisors or not all(
-                divisors & exactly[i][a] for i, a in enumerate(alpha)
-            ):
-                continue  # void complex, or a cone off the lcm lattice
-            slack = [
-                _slack_mask(g, alpha)
-                for j, g in enumerate(gens) if divisors >> j & 1
-            ]
-            facets = SimplicialComplex.from_face_masks(n, slack).facets
+        check_box(box, "Betti lcm")
+        all_gens = (1 << len(ideal.gens)) - 1
+        cells = [((), all_gens, [(all_gens, 0)])]  # (prefix, divisors, groups)
+        for i, rows in enumerate(zip(*divisor_masks(ideal.gens, box))):
+            bit = 1 << i
+            values = list(enumerate(zip(*rows)))  # v, (exactly, at_most)
+            grown = []
+            for alpha, divisors, groups in cells:
+                for v, (exact, at_most) in values:
+                    within = divisors & at_most
+                    tight = within & exact
+                    if not tight:
+                        continue  # void, or no divisor tight at i: a cone
+                    split = []
+                    common = -1  # the bits every slack set holds
+                    for members, slack in groups:
+                        members &= within
+                        if keep := members & tight:
+                            split.append((keep, slack))
+                            common &= slack
+                        if loose := members ^ keep:
+                            split.append((loose, slack | bit))
+                            common &= slack | bit
+                    if not common:
+                        grown.append((alpha + (v,), within, split))
+            cells = grown
+        for alpha, _, groups in cells:
+            facets = SimplicialComplex.from_face_masks(
+                n, [slack for _, slack in groups]).facets
             for h, dim in _homology_dims(facets, char).items():
                 key = (h + 2, alpha)
                 entries[key] = entries.get(key, 0) + dim

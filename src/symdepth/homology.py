@@ -71,7 +71,7 @@ def reduced_homology_from_faces(faces, char=0):
     """
     by_card = {}  # cardinality -> sorted face masks
     for mask in sorted(faces):
-        by_card.setdefault(bin(mask).count("1"), []).append(mask)
+        by_card.setdefault(mask.bit_count(), []).append(mask)
     top = len(by_card) - 1  # subset closed: cardinalities 0..top all occur
     # cardinality c -> rank of the boundary map leaving C_c
     ranks = {c: matrix_rank(_boundary_matrix(by_card[c - 1], by_card[c]), char)

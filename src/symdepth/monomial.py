@@ -5,8 +5,11 @@ are stored through their canonical minimal generating set (divisibility
 reduced, deduplicated, graded-lex sorted), so equal ideals compare equal.
 Variable indices are 0-based throughout the library.
 
-The exponent box [0, corner] that the Betti scan and the Stanley-depth
-poset walk is enumerated once, by ``box_divisors``.
+The exponent box [0, corner] has one size limit, ``check_box``, and one
+table of per-coordinate divisor masks, ``divisor_masks``.  The
+Stanley-depth poset enumerates the whole box through ``box_divisors``;
+the Betti scan walks only the prefixes of the same box that can still
+reach an lcm-lattice point, in the same order.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import operator
 from collections import namedtuple
 
-# Most points of an exponent box that box_divisors enumerates.  The
+# Most points of an exponent box that check_box lets through.  The
 # Stanley-depth search keeps two order bitmasks per point, about N**2 / 4
 # bytes for N points: 64 MiB here, where a 3^11 box would take about 8 GB.
 MAX_BOX_POINTS = 1 << 14
@@ -34,7 +37,7 @@ def check_exponents(u, n):
     if len(u) != n:
         raise ValueError(f"exponent vector {u} has length {len(u)}, expected {n}")
     for a in u:
-        if not isinstance(a, int) or a < 0:
+        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
             raise ValueError(f"exponents must be nonnegative integers, got {u}")
     return u
 
@@ -81,17 +84,22 @@ def divisor_masks(gens, bounds):
                      for row in exactly]
 
 
+def check_box(corner, what):
+    """Raise BudgetExceeded, naming the box by ``what``, when the box
+    [0, corner] holds more than MAX_BOX_POINTS points."""
+    box = math.prod(b + 1 for b in corner)
+    if box > MAX_BOX_POINTS:
+        raise BudgetExceeded(f"{what} box has {box} points, "
+                             f"above the limit of {MAX_BOX_POINTS}")
+
+
 def box_divisors(gens, corner, what):
     """(c, mask) for each point c of the box [0, corner], in
     itertools.product order, where mask holds the generators dividing c
     (bit j for gens[j]); every generator must lie in the box.  The masks
     are the ANDs of divisor_masks' at_most rows, taken one coordinate at
-    a time.  A box of more than MAX_BOX_POINTS points raises
-    BudgetExceeded, naming it by ``what``, before any point is made."""
-    box = math.prod(b + 1 for b in corner)
-    if box > MAX_BOX_POINTS:
-        raise BudgetExceeded(f"{what} box has {box} points, "
-                             f"above the limit of {MAX_BOX_POINTS}")
+    a time.  check_box runs before any point is made."""
+    check_box(corner, what)
     cells = [((), (1 << len(gens)) - 1)]
     for row in divisor_masks(gens, corner)[1]:
         cells = [(c + (v,), m & r) for c, m in cells for v, r in enumerate(row)]

@@ -30,13 +30,15 @@ from symdepth.complexes import (
 from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
 from symdepth.monomial import MAX_BOX_POINTS
-from symdepth.monomial import check_exponents, divides, lcm_exp, support
+from symdepth.monomial import (box_divisors, check_exponents, divides,
+                               divisor_masks, lcm_exp, support)
 
 from _corpus import (
     RP2_FACETS,
     corpus,
     cycle,
     non_squarefree_corpus,
+    path,
     random_monomial,
     random_squarefree_ideal,
 )
@@ -192,13 +194,54 @@ def _membership_test(ideal):
     return member
 
 
+def reference_lattice_betti_table(ideal, char=0):
+    """The full-box lattice scan: every point of monomial.box_divisors,
+    the lcm-lattice test, and one slack mask per dividing generator.  It
+    takes homology through the engine's memo, so a test that patches
+    depth._homology_dims sees its calls."""
+    check_char(char)
+    if ideal.is_unit:
+        raise ValueError("Betti table of the zero module is undefined")
+    n = ideal.n
+    entries = {(0, (0,) * n): 1}
+    if not ideal.is_zero:
+        engine = importlib.import_module("symdepth.depth")
+        for alpha, slack in _reference_lattice(ideal):
+            facets = SimplicialComplex.from_face_masks(n, slack).facets
+            for h, dim in engine._homology_dims(facets, char).items():
+                key = (h + 2, alpha)
+                entries[key] = entries.get(key, 0) + dim
+    return BettiTable(
+        n, tuple(sorted((i, a, v) for (i, a), v in entries.items()))
+    )
+
+
+def _reference_lattice(ideal):
+    """(alpha, slack masks of the dividing generators) at each lcm-lattice
+    point of the box, in box order."""
+    gens = ideal.gens
+    box = ideal.generator_degree_bounds()
+    exactly = divisor_masks(gens, box)[0]
+    for alpha, divisors in box_divisors(gens, box, "Betti lcm"):
+        if not divisors or not all(
+            divisors & exactly[i][a] for i, a in enumerate(alpha)
+        ):
+            continue  # void complex, or a cone off the lcm lattice
+        yield alpha, [
+            mask_of(i for i, (a, b) in enumerate(zip(g, alpha)) if a < b)
+            for j, g in enumerate(gens) if divisors >> j & 1
+        ]
+
+
 class TestBettiScanReference:
     def test_symbolic_powers_of_corpus(self):
         for I in corpus():
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 J = I.symbolic_power(k)
                 for char in (0, 2):
-                    assert betti_table(J, char) == reference_betti_table(J, char)
+                    table = betti_table(J, char)
+                    assert table == reference_betti_table(J, char)
+                    assert table == reference_lattice_betti_table(J, char)
 
     def test_non_squarefree_ideals(self):
         rng = random.Random(38)
@@ -208,8 +251,75 @@ class TestBettiScanReference:
             I = ideal(gens, n)
             if I.is_unit:
                 continue
-            for char in (0, 3):
-                assert betti_table(I, char) == reference_betti_table(I, char)
+            for char in (0, 2, 3):
+                table = betti_table(I, char)
+                assert table == reference_betti_table(I, char)
+                assert table == reference_lattice_betti_table(I, char)
+
+
+ANCHORS = {"C6^(3)": (cycle(6), 3), "C7^(2)": (cycle(7), 2),
+           "P7^(2)": (path(7), 2)}
+
+
+class TestLatticeWalk:
+    """betti_table walks only the box prefixes that can reach an
+    lcm-lattice point; reference_lattice_betti_table scans the whole box."""
+
+    @pytest.mark.parametrize("name", ANCHORS)
+    def test_anchors_match_both_references(self, name):
+        I, k = ANCHORS[name]
+        J = I.symbolic_power(k)
+        for char in (0, 2):
+            table = betti_table(J, char)
+            assert table == reference_lattice_betti_table(J, char)
+            assert table == reference_betti_table(J, char)
+
+    @pytest.mark.parametrize("name", ["C6^(3)", "C7^(2)"])
+    def test_homology_calls_match_the_full_box_scan(self, monkeypatch, name):
+        engine = importlib.import_module("symdepth.depth")
+        memo = engine._homology_dims
+        calls = []
+
+        def recorded(facets, char):
+            calls.append((facets, char))
+            return memo(facets, char)
+
+        monkeypatch.setattr(engine, "_homology_dims", recorded)
+        I, k = ANCHORS[name]
+        J = I.symbolic_power(k)
+        for char in (0, 2):
+            betti_table(J, char)
+        walked = calls[:]
+        calls.clear()
+        for char in (0, 2):
+            reference_lattice_betti_table(J, char)
+        assert walked == calls
+
+    def test_one_upper_koszul_complex_per_lattice_point(self, monkeypatch):
+        build = SimplicialComplex.from_face_masks.__func__
+        built = []
+
+        def counted(cls, n, masks):
+            built.append(build(cls, n, masks))
+            return built[-1]
+
+        rng = random.Random(18)
+        ideals = [I.symbolic_power(k) for I in rng.sample(corpus(), 40)
+                  for k in (1, 2, 3)]
+        ideals += [I.symbolic_power(k) for I, k in ANCHORS.values()]
+        counts = []
+        for J in ideals:
+            built.clear()
+            monkeypatch.setattr(SimplicialComplex, "from_face_masks",
+                                classmethod(counted))
+            betti_table(J)
+            monkeypatch.undo()
+            expected = [upper_koszul_complex(J, alpha).facets
+                        for alpha, _ in _reference_lattice(J)]
+            assert [c.facets for c in built] == expected, J
+            counts.append(len(built))
+        # C6^(3), C7^(2), P7^(2): lattice points of 4,096, 2,187, 2,187
+        assert counts[-len(ANCHORS):] == [1414, 702, 405]
 
 
 class TestLcmLattice:

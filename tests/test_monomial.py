@@ -13,6 +13,7 @@ from symdepth.monomial import (
     BudgetExceeded,
     _symbolic_power_cached,
     box_divisors,
+    check_exponents,
     divides,
     grlex_key,
     mul_exp,
@@ -53,6 +54,13 @@ class TestNormalize:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ideal([(1, -1)], 2)
+
+    def test_boolean_exponent_rejected(self):
+        # as formats._json_int does for a file
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ideal([(True, True, 0), (0, 1, 1)], 3)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            check_exponents((0, False), 2)
 
 
 class TestContains:

@@ -131,6 +131,9 @@ def test_degree_pair_fields_are_canonical_and_hashable():
         with pytest.raises(ValueError, match="cosupport indices"):
             DegreePair((0, 0, 0), frozenset({index}))
     # negative or non-integer exponents fail here, not later
-    for alpha_plus in ((0, -1, 0), (0, 1.0, 0), (0, "1", 0)):
+    for alpha_plus in ((0, -1, 0), (0, 1.0, 0), (0, "1", 0), (True, 0, 0),
+                       (0, False, 0)):
         with pytest.raises(ValueError, match="nonnegative integers"):
             DegreePair(alpha_plus, frozenset())
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        DegreePair((True, 0, 0), {1})
