@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .homology import check_char, reduced_homology_from_faces
 from .monomial import _symbolic_power_cached
@@ -156,10 +156,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
         return max(f.bit_count() for f in self.facets) - 1
 
     def vertex_mask(self):
-        mask = 0
-        for f in self.facets:
-            mask |= f
-        return mask
+        return functools.reduce(int.__or__, self.facets, 0)
 
     def face_masks(self):
         """All faces, as a set of bitmasks."""
@@ -228,11 +225,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
 
     def face_counts(self):
         """Number of faces per cardinality, {cardinality: count}."""
-        counts = {}
-        for m in self.face_masks():
-            c = m.bit_count()
-            counts[c] = counts.get(c, 0) + 1
-        return counts
+        return dict(Counter(m.bit_count() for m in self.face_masks()))
 
 
 def _has_exchange(small, candidates, face_set):

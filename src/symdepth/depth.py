@@ -106,10 +106,10 @@ class BettiTable(namedtuple("BettiTable", "n entries")):
 def takayama_complex(ideal, pair):
     """The complex whose faces are the localization sets F (disjoint from
     the cosupport G) that fail to absorb x^alpha_plus: the free sets that
-    hold no excess set {i not in G : g_i > alpha_i} of a generator g.  By
-    Alexander duality it is the Stanley-Reisner complex of the ideal of the
-    excess sets and the variables of G, void when that is the unit ideal
-    (some excess set is empty)."""
+    hold no excess set {i not in G : g_i > alpha_i} of a generator g, so
+    the Stanley-Reisner complex of the ideal of the excess sets and the
+    variables of G, void when that is the unit ideal (some excess set is
+    empty).  The scan never builds it; witnesses are checked against it."""
     alpha = check_exponents(pair.alpha_plus, ideal.n)
     cap = [float("inf") if i in pair.cosupport else a for i, a in enumerate(alpha)]
     excess = {tuple(map(int, map(operator.gt, g, cap))) for g in ideal.gens}
@@ -125,13 +125,20 @@ _homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
 
 
 def _generic_complexes(ideal, rho, cosupport):
-    """(alpha_plus, facets) at one cosupport for every alpha_plus of the
-    box, in box order."""
+    """(alpha_plus, facets) at one cosupport G for every alpha_plus of the
+    box, in box order.  The facets are those of the Alexander dual, in the
+    vertices V outside G, of the Takayama complex: the sets V minus the
+    excess sets E_g = {i in V : g_i > alpha_i}, or () where some E_g is
+    empty and the complex is void.  H_j of it is H_(|V|-j-3) of the dual."""
+    vertices = [j for j in range(ideal.n) if j not in cosupport]
+    free_mask = mask_of(vertices)
     ranges = [range(1) if j in cosupport else range(max(rho[j], 1))
               for j in range(ideal.n)]
     for alpha in itertools.product(*ranges):
-        pair = DegreePair(alpha, frozenset(cosupport))
-        yield alpha, takayama_complex(ideal, pair).facets
+        excess = [mask_of(j for j in vertices if g[j] > alpha[j])
+                  for g in ideal.gens]
+        yield alpha, (_reduce_to_facets(free_mask & ~e for e in excess)
+                      if all(excess) else ())
 
 
 def _prime_power_complexes(prime_masks, k, rho, cos_mask):
@@ -176,43 +183,31 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
         yield alpha, _reduce_to_facets(free_mask & ~p for p in short)
 
 
-# typed caches, so that char=2.0 misses the entry of char=2 and still
-# reaches check_char
-@functools.lru_cache(maxsize=None, typed=True)
 def depth_via_takayama(ideal, char=0):
     """Depth of S/I as the least cohomological degree with a nonvanishing
     witness multidegree, searched over the finite exponent box.
 
     The witness is the first multidegree of the scan (cosupports G by
     size, then in lex order; alpha_plus in lex order) that reaches the
-    least degree, min(dims) + |G| + 1 >= |G|: the scan stops at the first
-    that reaches |G|.  Cosupports that miss a free variable (one in no
-    generator) are skipped: every complex there is a cone or void.  When I
-    is an intersection of prime powers, so is a G with a vertex outside it
-    in no live prime (one missing G), and any other G takes one
-    multidegree per set of short primes; else takayama_complex is built at
-    each alpha_plus.  A principal ideal (x^a) has depth n - 1 with the
-    witness the scan would find: alpha_plus = 0, the cosupport outside
-    supp(a), the complex the boundary of the simplex on supp(a)."""
+    least degree.  Every index is >= |G| and >= depth >= n - mu(I)
+    (Taylor's resolution), so the scan stops at the first that reaches
+    either.  Cosupports that miss a free variable (one in no generator)
+    are skipped: every complex there is a cone or void.  When I is an
+    intersection of prime powers, so is a G with a vertex outside it in no
+    live prime (one missing G), and any other G takes one multidegree per
+    set of short primes, with index min(dims) + |G| + 1.  Otherwise,
+    principal ideals included, each alpha_plus takes the Alexander dual of
+    its complex, with index n - 2 - max(dims)."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.n
     if ideal.is_zero:
         return DepthWitness(depth=n, engine="takayama", char=char)
-    if len(ideal.gens) == 1:
-        supp = support(ideal.gens[0])
-        return DepthWitness(
-            depth=n - 1,
-            engine="takayama",
-            char=char,
-            alpha_plus=(0,) * n,
-            cosupport=tuple(j for j in range(n) if j not in supp),
-            homology_index=len(supp) - 2,
-        )
 
     rho = ideal.generator_degree_bounds()
-    structure = ideal.prime_structure()
+    # the prime-power walk would take a principal ideal's simplex boundary
+    structure = ideal.prime_structure() if len(ideal.gens) > 1 else None
     if structure is not None:
         primes, k = structure
         prime_masks = [mask_of(p) for p in primes]
@@ -247,12 +242,13 @@ def depth_via_takayama(ideal, char=0):
                 dims = _homology_dims(facets, char)
                 if not dims:
                     continue
-                i = min(dims) + csize + 1
+                i = (n - 2 - max(dims) if structure is None
+                     else min(dims) + csize + 1)
                 if best is None or i < best.depth:
                     best = DepthWitness(i, "takayama", char, alpha, cosupport,
                                         i - csize - 1)
-                    if i == csize:
-                        return best  # each index is >= |G|: none is smaller
+                    if i in (csize, n - len(ideal.gens)):
+                        return best  # no index is smaller
     if best is None:
         raise RuntimeError("no nonvanishing cohomology found; search box bug")
     return best
@@ -339,7 +335,6 @@ def betti_table(ideal, char=0):
     )
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def depth_via_betti(ideal, char=0):
     """Depth via Auslander-Buchsbaum: n minus the projective dimension."""
     check_char(char)

@@ -13,13 +13,25 @@ from __future__ import annotations
 import math
 
 
+def _is_prime(p):
+    """Deterministic Miller-Rabin: below 2^64 a strong probable prime to
+    the first twelve primes is prime (Sorenson-Webster 2015)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1
+               or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in bases)
+
+
 def check_char(char):
-    """Validate a coefficient field characteristic: 0 or a prime."""
-    valid = isinstance(char, int) and not isinstance(char, bool) and (
-        char == 0
-        or char >= 2 and all(char % d for d in range(2, math.isqrt(char) + 1))
-    )
-    if not valid:
+    """Validate a coefficient field characteristic: 0 or a prime < 2^64."""
+    valid = isinstance(char, int) and not isinstance(char, bool)
+    if valid and char >= 2**64:
+        raise ValueError(f"characteristic must be below 2^64, got {char!r}")
+    if not valid or char and not _is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char!r}")
 
 

@@ -463,6 +463,25 @@ class TestErrorHandling:
         assert out == ""
         assert "characteristic" in err
 
+    def test_large_prime_char_is_quick(self, triangle_file, capsys):
+        # 2^61 - 1 is prime; trial division to its square root never ended
+        char = 2**61 - 1
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["depth", triangle_file,
+                                    "--char", str(char)])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert json.loads(out)["char"] == char
+
+    @pytest.mark.parametrize("char", [2**64, 318665857834031151167461])
+    def test_char_from_2_64_on_is_input_error(self, triangle_file, capsys,
+                                              char):
+        code, out, err = run(capsys, ["depth", triangle_file,
+                                      "--char", str(char)])
+        assert code == 2
+        assert out == ""
+        assert f"characteristic must be below 2^64, got {char}" in err
+
     @pytest.mark.parametrize("argv", [
         ["depth", "--format", "csv"],
         ["sdepth", "--char", "2"],

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib
 import itertools
@@ -548,10 +549,47 @@ def _ordinary_power_plus_x1_5():
     return ideal(cube.gens + ((5, 0, 0, 0, 0, 0),), 6)
 
 
+def _builder_pairs():
+    """The 3,000 seeded (ideal, pair) draws of
+    test_builder_matches_subset_scan, in the same order."""
+    rng = random.Random(47)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        shape = rng.randrange(10)
+        if shape == 0:
+            I = zero_ideal(n)
+        elif shape == 1:
+            I = unit_ideal(n)
+        else:
+            I = ideal([random_monomial(rng, n, 3)
+                       for _ in range(rng.randint(1, 6))], n)
+        if rng.randrange(5):
+            G = frozenset(j for j in range(n) if not rng.randrange(3))
+        else:
+            G = frozenset(range(n))
+        alpha = tuple(0 if j in G else rng.randint(0, 4) for j in range(n))
+        yield I, DegreePair(alpha, G)
+
+
+def reference_principal_witness(ideal, char=0):
+    """The former one-generator shortcut: (x^a) has depth n - 1, with
+    alpha_plus = 0, the cosupport outside supp(a) and the boundary of the
+    simplex on supp(a) as the witness complex."""
+    n = ideal.n
+    supp = support(ideal.gens[0])
+    return DepthWitness(
+        depth=n - 1, engine="takayama", char=char, alpha_plus=(0,) * n,
+        cosupport=tuple(j for j in range(n) if j not in supp),
+        homology_index=len(supp) - 2,
+    )
+
+
 class TestGenericPath:
-    """Ideals without a prime-power form take takayama_complex at every
-    multidegree; it is checked against the subset scan, and the scan stops
-    at the first multidegree whose index is its cosupport size."""
+    """Ideals without a prime-power form, and principal ideals, take the
+    Alexander dual of the Takayama complex at every multidegree; it is
+    checked against takayama_complex, which is checked against the subset
+    scan, and the scan stops at the first multidegree whose index is its
+    cosupport size or n - mu(I)."""
 
     def test_builder_matches_subset_scan(self):
         rng = random.Random(47)
@@ -587,12 +625,103 @@ class TestGenericPath:
             raise AssertionError("membership test on the generic path")
 
         monkeypatch.setattr(MonomialIdeal, "localized_contains", refuse)
-        witness = depth_via_takayama.__wrapped__(J)
+        witness = depth_via_takayama(J)
         assert witness.to_dict() == {
             "depth": 1, "engine": "takayama", "char": 0,
             "alpha_plus": [0, 0, 1, 2, 1, 0], "cosupport": [],
             "homology_index": 0,
         }
+
+    def test_path_yields_the_alexander_dual(self):
+        # at the builder's pairs the path yields () exactly where the built
+        # complex is void, and otherwise the facets of its Alexander dual in
+        # V, the vertices outside G: the complements in V of the non-faces.
+        # H_j of the complex is H_(|V|-j-3) of the dual.  The zero ideal,
+        # whose complex is the full simplex with a void dual, never takes
+        # the path.
+        engine = importlib.import_module("symdepth.depth")
+        seen = set()
+        for I, pair in _builder_pairs():
+            if I.is_zero:
+                continue
+            box = tuple(a + 1 for a in pair.alpha_plus)  # alpha comes last
+            cosupport = tuple(sorted(pair.cosupport))
+            (alpha, facets), = collections.deque(
+                engine._generic_complexes(I, box, cosupport), maxlen=1)
+            assert alpha == pair.alpha_plus
+            built = takayama_complex(I, pair)
+            faces = built.face_masks()
+            free_mask = ((1 << I.n) - 1) & ~mask_of(cosupport)
+            dual = () if built.is_void else _reduce_to_facets(
+                free_mask & ~f for f in submasks(free_mask) if f not in faces)
+            assert facets == dual
+            size = I.n - len(cosupport)
+            for char in (0, 2):
+                flipped = {size - 3 - j: d
+                           for j, d in homology_dims(facets, char).items()}
+                assert dict(built.reduced_homology(char).dims) == flipped
+            seen.add("void" if not facets else
+                     "empty dual" if facets == (0,) else "other")
+        assert seen == {"void", "empty dual", "other"}
+
+    def test_generic_path_builds_no_complex(self, monkeypatch):
+        engine = importlib.import_module("symdepth.depth")
+
+        def refuse(*args):
+            raise AssertionError("complex built on the generic path")
+
+        for name in ("takayama_complex", "complex_of_ideal", "DegreePair",
+                     "SimplicialComplex"):
+            monkeypatch.setattr(engine, name, refuse)
+        witness = depth_via_takayama(_ordinary_power_plus_x1_5())
+        assert witness.to_dict() == {
+            "depth": 1, "engine": "takayama", "char": 0,
+            "alpha_plus": [0, 0, 1, 2, 1, 0], "cosupport": [],
+            "homology_index": 0,
+        }
+
+    def test_ideals_without_a_prime_power_form(self):
+        rng = random.Random(49)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(2, 5)
+            I = ideal([random_monomial(rng, n, 2)
+                       for _ in range(rng.randint(2, 5))], n)
+            if I.is_unit or I.prime_structure() is not None:
+                continue
+            checked += 1
+            for char in (0, 3):
+                _assert_same_witness(I, char)
+
+    def test_principal_ideals_match_the_former_shortcut(self):
+        rng = random.Random(48)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            g = random_monomial(rng, n, rng.choice((1, 3)))
+            if not any(g):
+                continue
+            I = ideal([g], n)
+            for char in (0, 3):
+                assert depth_via_takayama(I, char) == \
+                    reference_principal_witness(I, char)
+
+    @pytest.mark.parametrize("n, a", [(40, 1), (30, 2)])
+    def test_principal_ideal_takes_one_homology_call(self, monkeypatch, n,
+                                                     a):
+        # the first complex is the boundary of the simplex on all n
+        # vertices; its dual is {emptyset}, and the index n - 1 meets the
+        # Taylor bound n - mu(I)
+        engine = importlib.import_module("symdepth.depth")
+        calls = []
+
+        def counted(facets, char):
+            calls.append(facets)
+            return homology_dims(facets, char)
+
+        monkeypatch.setattr(engine, "_homology_dims", counted)
+        J = ideal([(a,) * n], n)
+        assert depth_via_takayama(J) == reference_principal_witness(J)
+        assert calls == [(0,)]
 
     def test_stop_rule_on_cycle_5_cube(self, monkeypatch):
         # the witness has index 0 at the empty cosupport, so nothing after
@@ -607,7 +736,7 @@ class TestGenericPath:
 
         monkeypatch.setattr(engine, "_homology_dims", counted)
         J = cycle(5).power(3)
-        witness = depth_via_takayama.__wrapped__(J)
+        witness = depth_via_takayama(J)
         assert len(calls) == 122
         assert witness.depth == 0 and witness.cosupport == ()
         assert witness == reference_depth_via_takayama(J)
@@ -684,7 +813,7 @@ class TestTakayamaBoxScanReference:
                 assert [alpha for alpha, _ in kept] == list(first.values())
 
     def test_principal_ideals(self):
-        # the one-generator shortcut against the scan, which finds the
+        # the generic path against the reference scan, which finds the
         # same witness at the cosupport outside the generator's support
         rng = random.Random(39)
         for _ in range(60):
@@ -704,7 +833,7 @@ class TestTakayamaBoxScanReference:
             return _reduce_to_facets(masks)
 
         monkeypatch.setattr(engine, "_reduce_to_facets", counted)
-        witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
+        witness = depth_via_takayama(cycle(10).symbolic_power(2))
         # one reduction per distinct short-prime set at each cosupport
         # that passes the cover test (the 20 that fail it would take 50
         # more); the box scan made one per multidegree, 17,664
@@ -725,7 +854,7 @@ class TestTakayamaBoxScanReference:
         monkeypatch.setattr(engine, "_homology_dims",
                             functools.lru_cache(maxsize=None)(homology_dims))
         monkeypatch.setattr(complexes, "reduced_homology_from_faces", counted)
-        witness = depth_via_takayama.__wrapped__(cycle(10).symbolic_power(2))
+        witness = depth_via_takayama(cycle(10).symbolic_power(2))
         # this counts work: ranks are taken only on strong-collapse cores
         # that are not a single vertex (on the raw facets there were 377
         # such calls), and the one void complex of C10^(2) no longer
@@ -769,7 +898,7 @@ class TestTakayamaBoxScanReference:
 
         monkeypatch.setattr(engine, "_prime_power_complexes", counted)
         J = ideal([(1, 1) + (0,) * 38, (0, 1, 1) + (0,) * 37], 40)
-        witness = depth_via_takayama.__wrapped__(J)
+        witness = depth_via_takayama(J)
         assert witness.depth == 38
         assert witness.cosupport == tuple(range(3, 40))
         assert cosupports == [mask_of(range(3, 40))]
@@ -804,7 +933,7 @@ class TestCoverTest:
 
         monkeypatch.setattr(engine, "_prime_power_complexes", counted)
         J = cycle(n).symbolic_power(k)
-        witness = depth_via_takayama.__wrapped__(J)
+        witness = depth_via_takayama(J)
         assert witness.to_dict() == reference_depth_via_takayama(J).to_dict()
         # the scan stops before the cosupports of size witness.depth
         masks = [mask_of(p) for p in J.prime_structure()[0]]

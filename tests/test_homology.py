@@ -1,12 +1,15 @@
 import importlib
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from symdepth import betti_table, depth_via_takayama
 from symdepth.complexes import SimplicialComplex
-from symdepth.homology import matrix_rank, reduced_homology_from_faces
+from symdepth.homology import (check_char, matrix_rank,
+                               reduced_homology_from_faces)
 
 from _corpus import corpus
 
@@ -118,7 +121,7 @@ class TestEngineComplexes:
             for k in (1, 2):
                 for char in (0, 2):
                     asking = answered["takayama"]
-                    depth_via_takayama.__wrapped__(I.symbolic_power(k), char)
+                    depth_via_takayama(I.symbolic_power(k), char)
                     asking = answered["betti"]
                     betti_table(I.symbolic_power(k), char)
         assert len(answered["takayama"]) > 100
@@ -130,3 +133,37 @@ class TestEngineComplexes:
             assert sum((-1) ** (i + 1) * d for i, d in dims.items()) == \
                 sum((-1) ** c * count for c, count in faces.items()), facets
             assert dims == reduced_homology_from_faces(complex_.face_masks(), char)
+
+
+class TestCheckChar:
+    @pytest.mark.parametrize("char", [0, 2, 3, 37, 41, 2**31 - 1, 2**61 - 1,
+                                      2**64 - 59])
+    def test_primes_below_2_64_accepted(self, char):
+        check_char(char)
+
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2 and
+    # 3215031751 one to the bases 2, 3, 5 and 7
+    @pytest.mark.parametrize("char", [1, 4, -2, True, 2.0, 561, 2047,
+                                      3215031751])
+    def test_others_rejected(self, char):
+        message = f"characteristic must be 0 or a prime, got {char!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_char(char)
+
+    # the second is a strong pseudoprime to each of the twelve bases
+    @pytest.mark.parametrize("char", [2**64, 318665857834031151167461])
+    def test_from_2_64_on_rejected(self, char):
+        with pytest.raises(ValueError,
+                           match=r"characteristic must be below 2\^64"):
+            check_char(char)
+
+    def test_agrees_with_trial_division(self):
+        for char in range(-3, 20000):
+            prime = char >= 2 and all(
+                char % d for d in range(2, math.isqrt(char) + 1))
+            try:
+                check_char(char)
+            except ValueError:
+                assert not prime
+            else:
+                assert prime or char == 0
