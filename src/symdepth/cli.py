@@ -39,6 +39,9 @@ ENGINES = ("cross_check", "takayama", "betti")
 
 
 def _emit(data, fmt):
+    """Print data in fmt; None means the rows are already printed."""
+    if data is None:
+        return
     if fmt == "table":
         _print_table(data)
     else:
@@ -64,12 +67,12 @@ def _print_table(data, indent=""):
                 print(f"{indent}{item}")
 
 
-def _checked(check):
+def _checked(check, what, bound=None):
     """argparse type: an int that passes check, so a bad --char or
     --budget exits 2 before any work, even where nothing would use it."""
     def parse(text):
         try:
-            value = int(text)
+            value = formats.parse_int(text, what, bound)
             check(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
@@ -87,41 +90,42 @@ def build_parser():
 
     def add_common(p, char=False, budget=False, csv=False):
         if char:
-            p.add_argument("--char", type=_checked(check_char), default=0,
+            p.add_argument("--char", default=0,
+                           type=_checked(check_char, "characteristic", "2^64"),
                            help="coefficient field characteristic "
                                 "(0 or a prime)")
         p.add_argument("--format", default="json",
                        choices=("json", "table", "csv") if csv
                        else ("json", "table"))
         if budget:
-            p.add_argument("--budget", type=_checked(check_budget),
-                           default=DEFAULT_NODE_BUDGET,
+            p.add_argument("--budget", default=DEFAULT_NODE_BUDGET,
+                           type=_checked(check_budget, "node budget"),
                            help="node limit for the Stanley depth search, "
                                 "and again for its splitting fallback")
 
-    p = sub.add_parser("depth", help="depth of S/I")
-    p.add_argument("ideal")
+    def command(parent, name, subject="ideal", **kwargs):
+        p = parent.add_parser(name, **kwargs)
+        p.add_argument(subject)
+        return p
+
+    p = command(sub, "depth", help="depth of S/I")
     p.add_argument("--engine", choices=ENGINES, default="cross_check")
     add_common(p, char=True)
 
-    p = sub.add_parser("betti", help="multigraded Betti numbers of S/I")
-    p.add_argument("ideal")
-    add_common(p, char=True)
+    add_common(command(sub, "betti", help="multigraded Betti numbers of S/I"),
+               char=True)
 
-    p = sub.add_parser("sdepth", help="Stanley depth of I or S/I")
-    p.add_argument("ideal")
+    p = command(sub, "sdepth", help="Stanley depth of I or S/I")
     p.add_argument("--kind", choices=("ideal", "quotient"), default="ideal")
     add_common(p, budget=True)
 
-    p = sub.add_parser("symbolic-power", help="k-th symbolic power of I")
-    p.add_argument("ideal")
+    p = command(sub, "symbolic-power", help="k-th symbolic power of I")
     p.add_argument("-k", type=int, required=True)
     add_common(p)
 
     for name, help_ in (("sequence", "quantity along symbolic powers"),
                         ("analyze", "stability analysis of a sequence")):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("ideal")
+        p = command(sub, name, help=help_)
         p.add_argument("--quantity", choices=QUANTITIES, default="depth")
         p.add_argument("--kmax", type=int, required=True)
         p.add_argument("--engine", choices=ENGINES, default="cross_check")
@@ -130,90 +134,63 @@ def build_parser():
     p = sub.add_parser("verify", help="check an inequality or identity")
     vsub = p.add_subparsers(dest="check", required=True)
     for name in ("depsym", "sdepsym", "power-lemma"):
-        vp = vsub.add_parser(name)
-        vp.add_argument("ideal")
+        vp = command(vsub, name)
         vp.add_argument("-m", type=int, required=True)
         vp.add_argument("-k", type=int, required=True)
         if name == "power-lemma":
             vp.add_argument("--samples", type=int, default=100)
             vp.add_argument("--seed", type=int, default=0)
         add_common(vp, char=name == "depsym", budget=name == "sdepsym")
-    vp = vsub.add_parser("colon-lemma")
-    vp.add_argument("ideal")
+    vp = command(vsub, "colon-lemma")
     vp.add_argument("--kmax", type=int, required=True)
     add_common(vp)
-    vp = vsub.add_parser("splitting-bound")
-    vp.add_argument("ideal")
+    vp = command(vsub, "splitting-bound")
     vp.add_argument("--var", type=int, default=1, help="1-based variable index")
     add_common(vp, budget=True)
 
-    p = sub.add_parser("matroid-report", help="per-power report for a matroid")
-    p.add_argument("complex")
+    p = command(sub, "matroid-report", "complex",
+                help="per-power report for a matroid")
     p.add_argument("--kmax", type=int, required=True)
     add_common(p, char=True, budget=True)
 
     p = sub.add_parser("complex", help="simplicial complex utilities")
     csub = p.add_subparsers(dest="action", required=True)
     for name in ("check-matroid", "check-vd", "sr-ideal"):
-        cp = csub.add_parser(name)
-        cp.add_argument("complex")
-        add_common(cp)
+        add_common(command(csub, name, "complex"))
 
     return parser
 
 
 def _run(args):
-    fmt = args.format
     if "ideal" in args:
         ideal = formats.load_ideal(args.ideal)
     else:
         delta = formats.load_complex(args.complex)
+    passed = True
 
     if args.command == "depth":
-        witness = depth(ideal, args.engine, args.char)
-        _emit(witness.to_dict(), fmt)
-        return EXIT_OK
-
-    if args.command == "betti":
+        data = depth(ideal, args.engine, args.char).to_dict()
+    elif args.command == "betti":
         table = betti_table(ideal, args.char)
-        data = table.to_dict()
-        data["total"] = {str(i): v for i, v in sorted(table.total().items())}
-        data["projective_dimension"] = table.projective_dimension()
-        _emit(data, fmt)
-        return EXIT_OK
-
-    if args.command == "sdepth":
-        result = sdepth(ideal, args.kind, args.budget)
-        _emit(result.to_dict(), fmt)
-        return EXIT_OK
-
-    if args.command == "symbolic-power":
+        data = dict(table.to_dict(),
+                    total={str(i): v for i, v in sorted(table.total().items())},
+                    projective_dimension=table.projective_dimension())
+    elif args.command == "sdepth":
+        data = sdepth(ideal, args.kind, args.budget).to_dict()
+    elif args.command == "symbolic-power":
         power = ideal.symbolic_power(args.k)
-        data = formats.ideal_to_json(power)
-        data["equals_ordinary_power"] = power == ideal.power(args.k)
-        _emit(data, fmt)
-        return EXIT_OK
-
-    if args.command == "sequence":
-        report = sequence(ideal, args.quantity, args.kmax,
-                          engine=args.engine, char=args.char,
-                          node_budget=args.budget)
-        if fmt == "csv":
+        data = dict(formats.ideal_to_json(power),
+                    equals_ordinary_power=power == ideal.power(args.k))
+    elif args.command in ("sequence", "analyze"):
+        compute = sequence if args.command == "sequence" else analyze_stability
+        report = compute(ideal, args.quantity, args.kmax, engine=args.engine,
+                         char=args.char, node_budget=args.budget)
+        data = None if args.format == "csv" else report.to_dict()
+        if data is None:
             print("k,value,engine,char")
             for k, value in enumerate(report.values, start=1):
                 print(f"{k},{json_value(value)},{report.engine},{report.char}")
-        else:
-            _emit(report.to_dict(), fmt)
-        return EXIT_OK
-
-    if args.command == "analyze":
-        report = analyze_stability(ideal, args.quantity, args.kmax,
-                                   engine=args.engine, char=args.char,
-                                   node_budget=args.budget)
-        _emit(report.to_dict(), fmt)
-        return EXIT_OK
-
-    if args.command == "verify":
+    elif args.command == "verify":
         if args.check == "depsym":
             result = verify_depth_comparison(ideal, args.m, args.k,
                                              char=args.char)
@@ -232,32 +209,26 @@ def _run(args):
                     f"variable index {args.var} out of range 1..{ideal.n}")
             result = verify_splitting_bound(ideal, args.var - 1,
                                             node_budget=args.budget)
-        _emit(result.to_dict(), fmt)
-        return EXIT_OK if result.passed else EXIT_VERIFY_FAIL
-
-    if args.command == "matroid-report":
+        data, passed = result.to_dict(), result.passed
+    elif args.command == "matroid-report":
         report = matroid_report(delta, args.kmax, char=args.char,
                                 node_budget=args.budget)
-        _emit(report.to_dict(), fmt)
-        return EXIT_OK if report.all_claims_hold else EXIT_VERIFY_FAIL
+        data, passed = report.to_dict(), report.all_claims_hold
+    elif args.action == "check-matroid":
+        is_mat, witness = delta.is_matroid()
+        data = {"matroid": is_mat}
+        if witness is not None:
+            data["witness"] = {
+                "F": [v + 1 for v in witness[0]],
+                "G": [v + 1 for v in witness[1]],
+            }
+    elif args.action == "check-vd":
+        data = {"vertex_decomposable": delta.is_vertex_decomposable()}
+    else:
+        data = formats.ideal_to_json(delta.stanley_reisner_ideal())
 
-    if args.command == "complex":
-        if args.action == "check-matroid":
-            is_mat, witness = delta.is_matroid()
-            data = {"matroid": is_mat}
-            if witness is not None:
-                data["witness"] = {
-                    "F": [v + 1 for v in witness[0]],
-                    "G": [v + 1 for v in witness[1]],
-                }
-            _emit(data, fmt)
-        elif args.action == "check-vd":
-            _emit({"vertex_decomposable": delta.is_vertex_decomposable()}, fmt)
-        else:
-            _emit(formats.ideal_to_json(delta.stanley_reisner_ideal()), fmt)
-        return EXIT_OK
-
-    raise ValueError(f"unknown command {args.command!r}")
+    _emit(data, args.format)
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def main(argv=None):

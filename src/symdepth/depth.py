@@ -249,9 +249,8 @@ def depth_via_takayama(ideal, char=0):
                                         i - csize - 1)
                     if i in (csize, n - len(ideal.gens)):
                         return best  # no index is smaller
-    if best is None:
-        raise RuntimeError("no nonvanishing cohomology found; search box bug")
-    return best
+    # at csize = n every complex is void, so a witness has returned above
+    raise RuntimeError("no nonvanishing cohomology found; search box bug")
 
 
 # --------------------------------------------------------------------------

@@ -17,10 +17,39 @@ from .monomial import MonomialIdeal
 
 _TERM = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
+# The most digits an integer read from a file or an option may have: the
+# interpreter's default limit for int(), checked here first so that the
+# message names what was read rather than sys.set_int_max_str_digits.
+MAX_DIGITS = 4300
+
+
+def parse_int(text, what, bound=None):
+    """int(text), refusing more than MAX_DIGITS digits before converting.
+    The message names what was read and the bound it broke: `bound`, which
+    a positive number that long exceeds, or else the digit limit."""
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_DIGITS:
+        limit = (f"be below {bound}" if bound and "-" not in text
+                 else f"have at most {MAX_DIGITS} digits")
+        raise ValueError(f"{what} must {limit}, got {digits} digits")
+    return int(text)
+
+
+class _LongInt(str):
+    """The text of a JSON integer too long for int(), kept for _json_int
+    to refuse with the name of its field."""
+
+
+def _load_json(text):
+    return json.loads(text, parse_int=lambda digits: int(digits)
+                      if len(digits) <= MAX_DIGITS else _LongInt(digits))
+
 
 def _json_int(value, what):
     """A JSON integer, rejecting floats, strings and booleans rather than
     truncating or converting them."""
+    if isinstance(value, _LongInt):
+        return parse_int(value, what)  # refused unless a sign made it long
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -35,7 +64,7 @@ def _ring_size(value, what):
 
 def ideal_from_json(data):
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _load_json(data)
     try:
         n = _ring_size(data["n"], "variable count")
         generators = data["generators"]
@@ -61,7 +90,8 @@ def ideal_from_text(text):
         if not line:
             continue
         if line.startswith("n="):
-            n = _ring_size(int(line[2:].strip()), "variable count")
+            n = _ring_size(parse_int(line[2:], "variable count n"),
+                           "variable count")
             continue
         if n is None:
             raise ValueError("ring size n=<count> must come before generators")
@@ -90,16 +120,16 @@ def _parse_monomial(line, n):
         match = _TERM.match(term.strip())
         if not match:
             raise ValueError(f"cannot parse monomial term {term!r}")
-        index = int(match.group(1))
+        index = parse_int(match.group(1), "variable index")
         if not 1 <= index <= n:
             raise ValueError(f"variable x{index} outside ring with n={n}")
-        exponents[index - 1] += int(match.group(2) or 1)
+        exponents[index - 1] += parse_int(match.group(2) or "1", "exponent")
     return tuple(exponents)
 
 
 def complex_from_json(data):
     if isinstance(data, str):
-        data = json.loads(data)
+        data = _load_json(data)
     try:
         n = _ring_size(data["n"], "vertex count")
         facets = data["facets"]

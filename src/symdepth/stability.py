@@ -268,20 +268,13 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
     n = delta.n
     d = delta.dim()
     ideal = delta.stanley_reisner_ideal()
-    if ideal.is_zero:
-        rows = tuple(
-            {"k": k, "depth": n, "dim": n, "cohen_macaulay": True,
-             "sdepth_quotient": n, "sdepth_ideal": json_value(INFINITY),
-             "claims_hold": True}
-            for k in range(1, kmax + 1)
-        )
-        return MatroidReport(n, d, n - d - 1, rows, True, degenerate=True,
-                             char=char)
-    dim = n - ideal.height()
+    # a zero ideal: Delta is the full simplex, so d = n - 1 and S/I = S
+    dim = n if ideal.is_zero else n - ideal.height()
     rows = []
     for k in range(1, kmax + 1):
-        dep, sq, si = (_value_at(ideal, k, q, "cross_check", char, node_budget)
-                       for q in ("depth", "sdepth_quotient", "sdepth_ideal"))
+        dep, sq, si = (n, n, INFINITY) if ideal.is_zero else (
+            _value_at(ideal, k, q, "cross_check", char, node_budget)
+            for q in ("depth", "sdepth_quotient", "sdepth_ideal"))
         rows.append({
             "k": k, "depth": dep, "dim": dim, "cohen_macaulay": dep == dim,
             "sdepth_quotient": sq,
@@ -290,4 +283,5 @@ def matroid_report(delta, kmax, char=0, node_budget=DEFAULT_NODE_BUDGET):
             and (si >= d + 2),
         })
     return MatroidReport(n, d, n - d - 1, tuple(rows),
-                         all(row["claims_hold"] for row in rows), char=char)
+                         all(row["claims_hold"] for row in rows),
+                         degenerate=ideal.is_zero, char=char)

@@ -18,6 +18,8 @@ TRIANGLE_JSON = json.dumps(
     {"n": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}
 )
 HOLLOW_TRIANGLE_JSON = json.dumps({"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]})
+# one digit past the limit that int() itself enforces by default
+HUGE = "1" + "0" * 4300
 
 
 @pytest.fixture
@@ -171,6 +173,30 @@ class TestSdepthCommand:
         data = json.loads(out)
         assert data["value"] == 2
         assert len(data["intervals"]) == 33
+
+    def test_splitting_that_misses_a_point_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # each interval loses its first Stanley space: the exact-cover
+        # re-check turns that into an internal error, never a wrong witness
+        stanley = importlib.import_module("symdepth.sdepth")
+        spaces, dropped = stanley._stanley_spaces, []
+
+        def drop_first(interval, g):
+            first, *rest = spaces(interval, g)
+            dropped.append(first)
+            return rest
+
+        monkeypatch.setattr(stanley, "_stanley_spaces", drop_first)
+        path = tmp_path / "c6_sym2.json"
+        power = cycle(6).symbolic_power(2)
+        path.write_text(json.dumps(formats.ideal_to_json(power)))
+        code, out, err = run(capsys, ["sdepth", str(path), "--kind", "quotient",
+                                      "--budget", "1000"])
+        assert dropped
+        assert code == 3
+        assert out == ""
+        assert err == ("internal error: RuntimeError: splitting produced no "
+                       "interval partition of the poset\n")
 
     def test_frontier_ideal_still_exits_4(self, tmp_path, capsys):
         path = tmp_path / "c6_sym2.json"
@@ -481,6 +507,41 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert f"characteristic must be below 2^64, got {char}" in err
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["depth", "{ideal}", "--char", HUGE], None,
+         "argument --char: characteristic must be below 2^64, got 4301 digits"),
+        (["sdepth", "{ideal}", "--budget", HUGE], None,
+         "argument --budget: node budget must have at most 4300 digits, "
+         "got 4301 digits"),
+        (["depth", "{input}"], f"n={HUGE}\nx1*x2\n",
+         "error: variable count n must have at most 4300 digits"),
+        (["depth", "{input}"], f"n=3\nx1^{HUGE}*x2\n",
+         "error: exponent must have at most 4300 digits"),
+        (["depth", "{input}"], f'{{"n": 3, "generators": [[{HUGE}, 1, 0]]}}',
+         "error: exponent must have at most 4300 digits"),
+        (["complex", "check-vd", "{input}"],
+         f'{{"n": 3, "facets": [[1, {HUGE}]]}}',
+         "error: vertex must have at most 4300 digits"),
+    ], ids=["char", "budget", "text-n", "text-exponent", "json-exponent",
+            "json-vertex"])
+    def test_huge_integer_names_its_bound(self, triangle_file, tmp_path,
+                                          capsys, argv, text, message):
+        path = tmp_path / "input"
+        if text is not None:
+            path.write_text(text)
+        files = {"{ideal}": triangle_file, "{input}": str(path)}
+        code, out, err = run(capsys, [files.get(a, a) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "set_int_max_str_digits" not in err
+
+    def test_budget_at_the_digit_limit_is_read(self, triangle_file, capsys):
+        code, out, _ = run(capsys, ["sdepth", triangle_file,
+                                    "--budget", "9" * 4300])
+        assert code == 0
+        assert json.loads(out)["value"] == 2
 
     @pytest.mark.parametrize("argv", [
         ["depth", "--format", "csv"],

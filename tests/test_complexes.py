@@ -68,6 +68,10 @@ class TestStanleyReisner:
     def test_full_simplex_gives_zero_ideal(self):
         assert cx(3, [(0, 1, 2)]).stanley_reisner_ideal().is_zero
 
+    def test_unit_ideal_has_no_complex(self):
+        with pytest.raises(ValueError, match="no Stanley-Reisner complex"):
+            complex_of_ideal(MonomialIdeal.from_generators([(0, 0, 0)], 3))
+
     def test_hollow_triangle_gives_principal(self):
         c = cx(3, [(0, 1), (0, 2), (1, 2)])
         assert c.stanley_reisner_ideal().gens == ((1, 1, 1),)

@@ -408,6 +408,12 @@ class TestDepthViaBetti:
     def test_zero_ideal(self):
         assert depth_via_betti(zero_ideal(5)).depth == 5
 
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(ValueError, match="^depth of the zero module"):
+            depth_via_betti(unit_ideal(3))
+        with pytest.raises(ValueError, match="^Betti table of the zero"):
+            betti_table(unit_ideal(3))
+
 
 class TestCrossCheck:
     def test_triangle(self):

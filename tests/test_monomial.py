@@ -104,6 +104,17 @@ class TestIntersect:
             (1, 1, 1), (0, 2, 2), (2, 0, 2), (2, 2, 0),
         )
 
+    def test_different_rings_rejected(self):
+        with pytest.raises(ValueError, match="different rings"):
+            ideal([(1, 0)], 2).intersect(ideal([(1, 0, 0)], 3))
+
+    @pytest.mark.parametrize("left_zero", [True, False])
+    def test_with_zero_ideal(self, left_zero):
+        I = ideal([(1, 1, 0), (0, 1, 1)], 3)
+        pair = (zero_ideal(3), I) if left_zero else (I, zero_ideal(3))
+        result = pair[0].intersect(pair[1])
+        assert result.is_zero and result.n == 3
+
 
 class TestColon:
     def test_principal(self):
@@ -130,6 +141,10 @@ class TestOrdinaryPower:
             (0, 2), (1, 1), (2, 0),
         )
 
+    def test_zeroth_power_rejected(self):
+        with pytest.raises(ValueError, match="power exponent must be >= 1"):
+            ideal([(1, 0), (0, 1)], 2).power(0)
+
 
 class TestMinimalPrimes:
     def test_edge(self):
@@ -147,6 +162,10 @@ class TestMinimalPrimes:
         assert ideal([(1, 1, 1)], 3).minimal_primes() == (
             frozenset({0}), frozenset({1}), frozenset({2}),
         )
+
+    def test_non_squarefree_rejected(self):
+        with pytest.raises(ValueError, match="squarefree ideals only"):
+            ideal([(2, 1, 0), (0, 1, 1)], 3).minimal_primes()
 
     def test_mixed_heights(self):
         I = ideal([(1, 0, 0), (0, 1, 1)], 3)
@@ -462,6 +481,11 @@ class TestSymbolicContains:
     def test_generators_in_first_power(self):
         I = self.triangle()
         assert all(I.symbolic_contains(1, g) for g in I.gens)
+
+    def test_zeroth_power_rejected(self):
+        with pytest.raises(ValueError,
+                           match="symbolic power exponent must be >= 1"):
+            self.triangle().symbolic_contains(0, (1, 1, 1))
 
 
 class TestRandomizedProperties:

@@ -292,6 +292,27 @@ class TestIntervals:
         iv = Interval((0, 1), (1, 2))
         assert set(iv.members()) == {(0, 1), (0, 2), (1, 1), (1, 2)}
 
+    def test_exact_cover(self):
+        points = {(0, 1), (0, 2), (1, 1), (1, 2)}
+        cover = IntervalPartition((1, 2), (Interval((0, 1), (0, 2)),
+                                           Interval((1, 1), (1, 2))))
+        assert cover.is_exact_cover_of(points)
+        # a point missing from the intervals
+        assert not cover.is_exact_cover_of(points | {(0, 0)})
+
+    def test_overlap_is_no_exact_cover(self):
+        points = {(0, 1), (0, 2), (1, 1), (1, 2)}
+        overlap = IntervalPartition((1, 2), (Interval((0, 1), (1, 1)),
+                                             Interval((0, 1), (0, 2)),
+                                             Interval((1, 2), (1, 2))))
+        assert not overlap.is_exact_cover_of(points)
+
+    def test_point_outside_the_poset_is_no_exact_cover(self):
+        points = {(0, 1), (0, 2), (1, 1)}
+        outside = IntervalPartition((1, 2), (Interval((0, 1), (0, 2)),
+                                             Interval((1, 1), (1, 2))))
+        assert not outside.is_exact_cover_of(points)
+
 
 class TestBudget:
     def test_tiny_budget_raises(self):

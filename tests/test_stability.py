@@ -192,6 +192,11 @@ class TestVerifyPowerMembership:
         with pytest.raises(ValueError, match="samples"):
             verify_power_membership(TRIANGLE, 1, 1, samples=0)
 
+    @pytest.mark.parametrize("m, k", [(0, 1), (1, 0)])
+    def test_nonpositive_m_or_k_rejected(self, m, k):
+        with pytest.raises(ValueError, match="m and k must be >= 1"):
+            verify_power_membership(TRIANGLE, m, k)
+
     def test_random_corpus_passes(self):
         rng = random.Random(54)
         for _ in range(10):
