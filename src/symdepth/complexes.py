@@ -40,15 +40,24 @@ def submasks(mask):
         sub = (sub - 1) & mask
 
 
+def _facet_key(mask):
+    """The order of a facet tuple: by cardinality, then by mask."""
+    return mask.bit_count(), mask
+
+
 def _reduce_to_facets(masks):
-    """The inclusion-maximal masks, sorted by (cardinality, mask).  A
-    strict superset is a larger integer, so in descending order every
-    superset of a mask is met before the mask itself."""
+    """The inclusion-maximal masks, sorted by _facet_key.  A strict
+    superset is a larger integer, so in descending order every superset
+    of a mask is met before the mask itself."""
     facets = []
     for m in sorted(set(masks), reverse=True):
-        if not any(m & f == m for f in facets):
+        for f in facets:
+            if m & f == m:
+                break
+        else:
             facets.append(m)
-    return tuple(sorted(facets, key=lambda m: (m.bit_count(), m)))
+    facets.sort(key=_facet_key)
+    return tuple(facets)
 
 
 def strong_core(facets):
@@ -203,7 +212,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
         """Exchange-axiom check; returns (True, None) or (False, (F, G))
         with a violating pair of faces."""
         self._require_not_void()
-        faces = sorted(self.face_masks(), key=lambda m: (m.bit_count(), m))
+        faces = sorted(self.face_masks(), key=_facet_key)
         face_set = set(faces)
         for big, small in itertools.product(faces, faces):
             if big.bit_count() <= small.bit_count():

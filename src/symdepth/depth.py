@@ -16,6 +16,7 @@ from collections import namedtuple
 
 from .complexes import (
     SimplicialComplex,
+    _facet_key,
     _reduce_to_facets,
     complex_of_ideal,
     homology_dims,
@@ -179,8 +180,11 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
     first = {}  # short primes -> first alpha
     for deficits, alpha in states.items():
         first.setdefault(tuple(p for p, d in zip(live, deficits) if d), alpha)
+    # live primes are distinct minimal primes inside the free vertices, so
+    # their complements there are distinct and incomparable: the facets
     for short, alpha in first.items():
-        yield alpha, _reduce_to_facets(free_mask & ~p for p in short)
+        yield alpha, tuple(sorted((free_mask & ~p for p in short),
+                                  key=_facet_key))
 
 
 def depth_via_takayama(ideal, char=0):
@@ -287,9 +291,11 @@ def betti_table(ideal, char=0):
     slack) bitmask pairs.  A prefix is dropped once no divisor is tight
     at its last coordinate or every group's slack shares a bit: divisors
     only shrink as the prefix grows, so each completion is void or a
-    cone.  At a full alpha the group slacks are the distinct slack sets
-    of upper_koszul_complex.  check_box raises BudgetExceeded for a box
-    of more than MAX_BOX_POINTS points before the walk."""
+    cone.  At the last coordinate only the slack sets are kept: at a full
+    alpha they are the distinct slack sets of upper_koszul_complex, and
+    their maximal ones go straight to the homology memo.  check_box
+    raises BudgetExceeded for a box of more than MAX_BOX_POINTS points
+    before the walk."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("Betti table of the zero module is undefined")
@@ -300,7 +306,8 @@ def betti_table(ideal, char=0):
         check_box(box, "Betti lcm")
         all_gens = (1 << len(ideal.gens)) - 1
         cells = [((), all_gens, [(all_gens, 0)])]  # (prefix, divisors, groups)
-        for i, rows in enumerate(zip(*divisor_masks(ideal.gens, box))):
+        *columns, last = zip(*divisor_masks(ideal.gens, box))
+        for i, rows in enumerate(columns):
             bit = 1 << i
             values = list(enumerate(zip(*rows)))  # v, (exactly, at_most)
             grown = []
@@ -323,12 +330,32 @@ def betti_table(ideal, char=0):
                     if not common:
                         grown.append((alpha + (v,), within, split))
             cells = grown
-        for alpha, _, groups in cells:
-            facets = SimplicialComplex.from_face_masks(
-                n, [slack for _, slack in groups]).facets
-            for h, dim in _homology_dims(facets, char).items():
-                key = (h + 2, alpha)
-                entries[key] = entries.get(key, 0) + dim
+        # the last coordinate: the same split and drop test, keeping only
+        # the slack sets, whose maximal ones go straight to homology
+        bit = 1 << (n - 1)
+        values = list(enumerate(zip(*last)))
+        for alpha, divisors, groups in cells:
+            for v, (exact, at_most) in values:
+                within = divisors & at_most
+                tight = within & exact
+                if not tight:
+                    continue  # void, or no divisor tight at n - 1: a cone
+                slacks = []
+                common = -1  # the bits every slack set holds
+                for members, slack in groups:
+                    members &= within
+                    if members & tight:
+                        slacks.append(slack)
+                        common &= slack
+                    if members & ~tight:
+                        slacks.append(slack | bit)
+                        common &= slack | bit
+                if common:
+                    continue
+                for h, dim in _homology_dims(_reduce_to_facets(slacks),
+                                             char).items():
+                    key = (h + 2, alpha + (v,))
+                    entries[key] = entries.get(key, 0) + dim
     return BettiTable(
         n, tuple(sorted((i, a, v) for (i, a), v in entries.items()))
     )

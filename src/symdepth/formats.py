@@ -55,10 +55,17 @@ def _json_int(value, what):
     return value
 
 
+# The largest ring size a file may declare, checked before a reader
+# allocates one slot per variable.
+MAX_RING_SIZE = 10_000
+
+
 def _ring_size(value, what):
     n = _json_int(value, f"{what} n")
     if n < 1:
         raise ValueError(f"{what} must be >= 1")
+    if n > MAX_RING_SIZE:
+        raise ValueError(f"{what} n must be at most {MAX_RING_SIZE}")
     return n
 
 

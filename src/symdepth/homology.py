@@ -1,11 +1,19 @@
 """Exact reduced simplicial homology from face bitmasks.
 
 Faces are encoded as integer bitmasks over the vertex set.  Homology is
-computed from exact ranks of dense boundary matrices over Q (char 0, the
-default) or GF(p), by one fraction-free elimination: below the pivot row
-t, a row r with r[col] != 0 becomes t[col] * r - r[col] * t, then is
-reduced mod p or, over Z, divided by its gcd.  Both are invertible over
-the field, so ranks stay exact.
+computed from exact ranks of boundary maps over Q (char 0, the default) or
+GF(p).  Char 0 and 2 first take GF(2) ranks, each boundary column one int
+bitmask reduced by XOR on its leading bit.  Char 2 keeps those dims, and
+so does char 0 when they are nonzero in at most one degree: dim_Q H_i <=
+dim_GF(2) H_i in every degree (universal coefficients) and both have the
+same reduced Euler characteristic, so then they agree in every degree.
+
+Any other case (another prime, or GF(2) homology in two or more degrees,
+as 2-torsion gives on the real projective plane) takes dense boundary
+matrices and one fraction-free elimination: below the pivot row t, a row
+r with r[col] != 0 becomes t[col] * r - r[col] * t, then is reduced mod p
+or, over Z, divided by its gcd.  Both are invertible over the field, so
+ranks stay exact.
 """
 
 from __future__ import annotations
@@ -74,23 +82,56 @@ def _boundary_matrix(lower, upper):
     return rows
 
 
-def reduced_homology_from_faces(faces, char=0):
-    """Reduced homology dimensions {i: dim} from an iterable of face
-    bitmasks (must be subset closed, including 0 for the empty face).
+def _rank_gf2(lower, upper):
+    """Rank over GF(2) of _boundary_matrix(lower, upper), each column a
+    bitmask over the indices of ``lower``, XORed with the kept column of
+    its leading bit until it is kept or vanishes."""
+    index = {mask: 1 << j for j, mask in enumerate(lower)}
+    pivots = {}  # leading bit -> kept column
+    for mask in upper:
+        column = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            column |= index[mask ^ low]
+            bits ^= low
+        while column:
+            lead = column.bit_length()
+            if lead not in pivots:
+                pivots[lead] = column
+                break
+            column ^= pivots[lead]
+    return len(pivots)
 
-    Only the nonzero entries are returned; the void complex (no faces)
-    yields an empty map.
-    """
-    by_card = {}  # cardinality -> sorted face masks
-    for mask in sorted(faces):
-        by_card.setdefault(mask.bit_count(), []).append(mask)
+
+def _dims(by_card, rank):
+    """Nonzero reduced homology dims from the faces by cardinality, with
+    rank(lower, upper) the rank of the boundary map between them."""
     top = len(by_card) - 1  # subset closed: cardinalities 0..top all occur
     # cardinality c -> rank of the boundary map leaving C_c
-    ranks = {c: matrix_rank(_boundary_matrix(by_card[c - 1], by_card[c]), char)
-             for c in range(1, top + 1)}
+    ranks = {c: rank(by_card[c - 1], by_card[c]) for c in range(1, top + 1)}
     dims = {}
     for c in range(top + 1):
         dim = len(by_card[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0)
         if dim:
             dims[c - 1] = dim
     return dims
+
+
+def reduced_homology_from_faces(faces, char=0):
+    """Reduced homology dimensions {i: dim} from an iterable of face
+    bitmasks (must be subset closed, including 0 for the empty face).
+
+    Only the nonzero entries are returned; the void complex (no faces)
+    yields an empty map.  Char 0 and 2 take GF(2) ranks, char 0 only where
+    they certify the answer (see the module docstring).
+    """
+    by_card = {}  # cardinality -> sorted face masks
+    for mask in sorted(faces):
+        by_card.setdefault(mask.bit_count(), []).append(mask)
+    if char in (0, 2):
+        dims = _dims(by_card, _rank_gf2)
+        if char == 2 or len(dims) <= 1:
+            return dims
+    return _dims(by_card, lambda lower, upper:
+                 matrix_rank(_boundary_matrix(lower, upper), char))

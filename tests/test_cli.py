@@ -537,6 +537,30 @@ class TestErrorHandling:
         assert message in err
         assert "set_int_max_str_digits" not in err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("depth", "n=100000000000000000000\nx1*x2\n",
+         "error: variable count n must be at most 10000"),
+        ("depth", '{"n": 100000000000000000000, "generators": [[1, 1]]}',
+         "error: variable count n must be at most 10000"),
+        ("complex check-matroid", '{"n": 10001, "facets": [[1]]}',
+         "error: vertex count n must be at most 10000"),
+    ], ids=["text", "json", "complex-json"])
+    def test_ring_size_above_the_bound_is_input_error(self, tmp_path, capsys,
+                                                      command, text, message):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run(capsys, [*command.split(), str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_ring_size_at_the_bound_is_read(self, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_text("n=10000\nx1*x2\n")
+        code, out, _ = run(capsys, ["depth", str(path), "--engine", "betti"])
+        assert code == 0
+        assert json.loads(out)["depth"] == 9999
+
     def test_budget_at_the_digit_limit_is_read(self, triangle_file, capsys):
         code, out, _ = run(capsys, ["sdepth", triangle_file,
                                     "--budget", "9" * 4300])

@@ -297,12 +297,13 @@ class TestLatticeWalk:
         assert walked == calls
 
     def test_one_upper_koszul_complex_per_lattice_point(self, monkeypatch):
-        build = SimplicialComplex.from_face_masks.__func__
-        built = []
+        engine = importlib.import_module("symdepth.depth")
+        memo = engine._homology_dims
+        passed = []  # the facets the walk takes homology on
 
-        def counted(cls, n, masks):
-            built.append(build(cls, n, masks))
-            return built[-1]
+        def recorded(facets, char):
+            passed.append(facets)
+            return memo(facets, char)
 
         rng = random.Random(18)
         ideals = [I.symbolic_power(k) for I in rng.sample(corpus(), 40)
@@ -310,15 +311,14 @@ class TestLatticeWalk:
         ideals += [I.symbolic_power(k) for I, k in ANCHORS.values()]
         counts = []
         for J in ideals:
-            built.clear()
-            monkeypatch.setattr(SimplicialComplex, "from_face_masks",
-                                classmethod(counted))
+            passed.clear()
+            monkeypatch.setattr(engine, "_homology_dims", recorded)
             betti_table(J)
             monkeypatch.undo()
             expected = [upper_koszul_complex(J, alpha).facets
                         for alpha, _ in _reference_lattice(J)]
-            assert [c.facets for c in built] == expected, J
-            counts.append(len(built))
+            assert passed == expected, J
+            counts.append(len(passed))
         # C6^(3), C7^(2), P7^(2): lattice points of 4,096, 2,187, 2,187
         assert counts[-len(ANCHORS):] == [1414, 702, 405]
 
@@ -346,17 +346,18 @@ class TestLcmLattice:
 
     def test_cycle_8_symbolic_square(self, monkeypatch):
         J = cycle(8).symbolic_power(2)
-        build = SimplicialComplex.from_face_masks.__func__
-        built = []
+        engine = importlib.import_module("symdepth.depth")
+        memo = engine._homology_dims
+        passed = []
 
-        def counted(cls, n, masks):
-            built.append(n)
-            return build(cls, n, masks)
+        def recorded(facets, char):
+            passed.append(facets)
+            return memo(facets, char)
 
-        monkeypatch.setattr(SimplicialComplex, "from_face_masks", classmethod(counted))
+        monkeypatch.setattr(engine, "_homology_dims", recorded)
         table = betti_table(J)
         # one complex per lcm-lattice point of the 6561-point box
-        assert len(built) == 1828
+        assert len(passed) == 1828
         assert table.total() == {0: 1, 1: 36, 2: 112, 3: 148, 4: 95, 5: 24}
         assert len({alpha for i, alpha, _ in table.entries if i > 0}) == 393
         assert depth_via_betti(J).depth == 3
@@ -797,7 +798,9 @@ class TestTakayamaBoxScanReference:
 
     def test_first_degree_of_each_short_prime_set(self):
         # at every cosupport: the first degree of the box, in scan order,
-        # for each set of short primes, and nothing else
+        # for each set of short primes, and nothing else; its facets are
+        # those _reduce_to_facets makes of the complements of the short
+        # primes, which the path sorts without reducing
         engine = importlib.import_module("symdepth.depth")
         for I in random.Random(44).sample(corpus(), 30):
             J = I.symbolic_power(3)
@@ -816,7 +819,11 @@ class TestTakayamaBoxScanReference:
                     )
                     first.setdefault(short, alpha)
                 kept = engine._prime_power_complexes(masks, k, rho, cos_mask)
-                assert [alpha for alpha, _ in kept] == list(first.values())
+                free_mask = ((1 << I.n) - 1) & ~cos_mask
+                assert list(kept) == [
+                    (alpha, _reduce_to_facets(free_mask & ~p for p in short))
+                    for short, alpha in first.items()
+                ]
 
     def test_principal_ideals(self):
         # the generic path against the reference scan, which finds the
@@ -832,18 +839,28 @@ class TestTakayamaBoxScanReference:
 
     def test_facet_reductions_on_cycle_10_square(self, monkeypatch):
         engine = importlib.import_module("symdepth.depth")
+        scan = engine._prime_power_complexes
         reduced = []
+        complexes = []
 
         def counted(masks):
             reduced.append(1)
             return _reduce_to_facets(masks)
 
+        def recorded(*args):
+            for alpha, facets in scan(*args):
+                complexes.append(facets)
+                yield alpha, facets
+
         monkeypatch.setattr(engine, "_reduce_to_facets", counted)
+        monkeypatch.setattr(engine, "_prime_power_complexes", recorded)
         witness = depth_via_takayama(cycle(10).symbolic_power(2))
-        # one reduction per distinct short-prime set at each cosupport
-        # that passes the cover test (the 20 that fail it would take 50
-        # more); the box scan made one per multidegree, 17,664
-        assert len(reduced) == 1064
+        # one complex per distinct short-prime set at each cosupport that
+        # passes the cover test (the 20 that fail it would take 50 more);
+        # the box scan made one per multidegree, 17,664.  The complements
+        # of the short primes are already the facets, so none is reduced
+        assert len(complexes) == 1064
+        assert not reduced
         assert witness.depth == 3
 
     def test_homology_calls_on_cycle_10_square(self, monkeypatch):

@@ -8,10 +8,10 @@ import pytest
 
 from symdepth import betti_table, depth_via_takayama
 from symdepth.complexes import SimplicialComplex
-from symdepth.homology import (check_char, matrix_rank,
+from symdepth.homology import (_boundary_matrix, check_char, matrix_rank,
                                reduced_homology_from_faces)
 
-from _corpus import corpus
+from _corpus import RP2_FACETS, corpus
 
 
 def reference_rank(rows, char):
@@ -133,6 +133,81 @@ class TestEngineComplexes:
             assert sum((-1) ** (i + 1) * d for i, d in dims.items()) == \
                 sum((-1) ** c * count for c, count in faces.items()), facets
             assert dims == reduced_homology_from_faces(complex_.face_masks(), char)
+
+
+def dense_homology(faces, char):
+    """Reduced homology dims from matrix_rank on every dense boundary
+    matrix, whatever the characteristic."""
+    by_card = {}
+    for mask in sorted(faces):
+        by_card.setdefault(mask.bit_count(), []).append(mask)
+    ranks = {c: matrix_rank(_boundary_matrix(by_card[c - 1], by_card[c]), char)
+             for c in range(1, len(by_card))}
+    dims = {c - 1: len(by_card[c]) - ranks.get(c, 0) - ranks.get(c + 1, 0)
+            for c in range(len(by_card))}
+    return {i: d for i, d in dims.items() if d}
+
+
+def _count_dense_ranks(monkeypatch):
+    """Patch homology.matrix_rank to count its calls; returns the list."""
+    calls = []
+
+    def counted(rows, char):
+        calls.append(char)
+        return matrix_rank(rows, char)
+
+    monkeypatch.setattr("symdepth.homology.matrix_rank", counted)
+    return calls
+
+
+class TestGF2Certificate:
+    """Char 0 and 2 take GF(2) ranks on bitmask columns.  Char 0 keeps the
+    GF(2) dims only when they sit in at most one degree, and any other
+    case takes the dense matrix_rank path."""
+
+    @pytest.mark.parametrize("char", [0, 2, 3])
+    def test_matches_dense_reference_on_random_complexes(self, monkeypatch,
+                                                         char):
+        rng = random.Random(300 + char)
+        rp2 = [sum(1 << v for v in f) for f in RP2_FACETS]
+        several = 0  # complexes whose GF(2) homology has two degrees or more
+        torsion = 0  # complexes whose GF(2) and Q homology differ
+        for trial in range(400):
+            n = rng.randint(1, 7)
+            # small facets, so that homology often sits in several degrees
+            facets = [sum(1 << v for v in rng.sample(range(n),
+                                                      rng.randint(1, min(n, 3))))
+                      for _ in range(rng.randint(1, 9))]
+            if n >= 6 and trial % 4 == 0:
+                facets += rp2
+            faces = SimplicialComplex.from_face_masks(n, facets).face_masks()
+            expected = dense_homology(faces, char)
+            gf2 = dense_homology(faces, 2)
+            several += len(gf2) > 1
+            torsion += gf2 != dense_homology(faces, 0)
+            calls = _count_dense_ranks(monkeypatch)
+            assert reduced_homology_from_faces(faces, char) == expected, facets
+            monkeypatch.undo()
+            dense = char == 3 or char == 0 and len(gf2) > 1
+            assert bool(calls) == (dense and max(faces).bit_count() > 0), facets
+        assert several > 15 and torsion > 10
+
+    @pytest.mark.parametrize("char, dims, dense", [
+        (0, {}, True), (2, {1: 1, 2: 1}, False), (3, {}, True)])
+    def test_projective_plane(self, monkeypatch, char, dims, dense):
+        # H_1(RP^2; Z) = Z/2: GF(2) homology in degrees 1 and 2 certifies
+        # nothing over Q, so char 0 takes the dense ranks
+        faces = SimplicialComplex.from_facets(6, RP2_FACETS).face_masks()
+        calls = _count_dense_ranks(monkeypatch)
+        assert reduced_homology_from_faces(faces, char) == dims
+        assert bool(calls) == dense
+
+    def test_void_and_empty_complexes(self, monkeypatch):
+        calls = _count_dense_ranks(monkeypatch)
+        for char in (0, 2, 3):
+            assert reduced_homology_from_faces([], char) == {}
+            assert reduced_homology_from_faces([0], char) == {-1: 1}
+        assert not calls
 
 
 class TestCheckChar:
