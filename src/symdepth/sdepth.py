@@ -45,6 +45,8 @@ class Interval(namedtuple("Interval", "a b")):
     __slots__ = ()
 
     def __new__(cls, a, b):
+        if len(a) != len(b):
+            raise ValueError(f"interval bounds of different lengths: {a}, {b}")
         if any(x > y for x, y in zip(a, b)):
             raise ValueError(f"interval bounds out of order: {a} > {b}")
         return super().__new__(cls, a, b)
@@ -61,13 +63,13 @@ class IntervalPartition(namedtuple("IntervalPartition", "g intervals")):
         return min(_rho(iv.b, self.g) for iv in self.intervals)
 
     def is_exact_cover_of(self, points):
-        seen = set()
+        points, seen = set(points), set()
         for iv in self.intervals:
             for c in iv.members():
                 if c in seen or c not in points:
                     return False
                 seen.add(c)
-        return seen == set(points)
+        return seen == points
 
 
 class SdepthResult(namedtuple("SdepthResult", "kind value g witness",
@@ -147,6 +149,17 @@ def _bits(mask):
         mask &= mask - 1
 
 
+def _minimal_points(mask, up):
+    """The minimal points of the set mask, in increasing index order.
+    up[a] is the set of points >= a; every point below a has a lower
+    index, so the lowest point left is minimal, and dropping all points
+    above it leaves the others."""
+    while mask:
+        a = (mask & -mask).bit_length() - 1
+        yield a
+        mask &= ~up[a]
+
+
 def _meet(rows, p):
     """The AND of rows[t][p_t] over the coordinates t."""
     return functools.reduce(operator.and_, map(list.__getitem__, rows, p), -1)
@@ -155,10 +168,14 @@ def _meet(rows, p):
 def sdepth_at_least(poset, s, budget=None):
     """An interval partition of the poset using only intervals whose top
     touches the box corner in at least s coordinates, or None.  Point i
-    of poset.points is bit i; sets of points are int bitmasks."""
+    of poset.points is bit i; sets of points are int bitmasks.  The points
+    are in grlex order, so each point comes after every point below it."""
     if budget is None:
         budget = _Budget(DEFAULT_NODE_BUDGET)
     g, points = poset.g, poset.points
+    size = [sum(p) for p in points]
+    if any(map(operator.gt, size, size[1:])):
+        raise ValueError("poset points must be in grlex order")
     # up[i], down[i]: points >= and <= point i, from the divisor masks of
     # the points (playing the generators); at_least runs the OR backwards
     exactly, at_most = divisor_masks(points, g)
@@ -167,19 +184,20 @@ def sdepth_at_least(poset, s, budget=None):
     up = [_meet(at_least, p) for p in points]
     down = [_meet(at_most, p) for p in points]
     high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
-    size = [sum(p) for p in points]
     failed = set()
     candidates = {}
 
     def tops_of(a):
-        """(b, [a, b]) for each top b, in index order, whose interval lies
-        wholly in the poset: it holds as many points as its box."""
+        """(b, [a, b]) for each top b whose interval lies wholly in the
+        poset (it holds as many points as its box), larger tops first; the
+        stable sort keeps index order on ties."""
         tops = []
         for b in _bits(up[a] & high):
             interval = up[a] & down[b]
             if interval.bit_count() == math.prod(
                     y - x + 1 for x, y in zip(points[a], points[b])):
                 tops.append((b, interval))
+        tops.sort(key=lambda top: -size[top[0]])
         return tops
 
     def search(uncovered):
@@ -188,21 +206,22 @@ def sdepth_at_least(poset, s, budget=None):
             return []
         if uncovered in failed:
             return None
-        best_a, best_tops = None, None
-        for a in _bits(uncovered):
-            if down[a] & uncovered != 1 << a:
-                continue  # a is not minimal
+        best_a, best_tops, fewest = None, None, 0
+        for a in _minimal_points(uncovered, up):
             if a not in candidates:
                 candidates[a] = tops_of(a)
-            tops = [(b, interval) for b, interval in candidates[a]
-                    if interval & uncovered == interval]
-            if not tops:
-                failed.add(uncovered)
-                return None
-            if best_tops is None or len(tops) < len(best_tops):
-                best_a, best_tops = a, tops
-        # larger intervals first; the stable sort keeps grlex order on ties
-        for b, interval in sorted(best_tops, key=lambda top: -size[top[0]]):
+            tops = []
+            for top in candidates[a]:
+                if top[1] & uncovered == top[1]:
+                    tops.append(top)
+                    if len(tops) == fewest:
+                        break  # a cannot have fewer tops than best_a
+            else:  # a has no top left, or fewer than best_a
+                if not tops:
+                    failed.add(uncovered)
+                    return None
+                best_a, best_tops, fewest = a, tops, len(tops)
+        for b, interval in best_tops:
             rest = search(uncovered & ~interval)
             if rest is not None:
                 return [(best_a, b)] + rest

@@ -4,7 +4,6 @@ import itertools
 import math
 import operator
 import random
-import time
 
 import pytest
 
@@ -28,6 +27,7 @@ from symdepth.sdepth import (
     DEFAULT_NODE_BUDGET,
     _Budget,
     _minimal_generators,
+    _minimal_points,
     _rho,
     counting_bound,
     splitting_witness,
@@ -115,6 +115,12 @@ class TestSdepthAtLeast:
     def test_triangle_quotient_two_impossible(self):
         poset = characteristic_poset(TRIANGLE, "quotient")
         assert sdepth_at_least(poset, 2) is None
+
+    def test_points_out_of_order_rejected(self):
+        # the search takes the lowest uncovered point as minimal
+        poset = characteristic_poset(TRIANGLE, "quotient")
+        with pytest.raises(ValueError):
+            sdepth_at_least(poset._replace(points=poset.points[::-1]), 1)
 
     def test_singletons_always_cover_at_zero(self):
         rng = random.Random(42)
@@ -288,6 +294,12 @@ class TestIntervals:
         with pytest.raises(ValueError):
             Interval((1, 0), (0, 1))
 
+    def test_bounds_of_different_lengths(self):
+        # zip alone would stop at the shorter bound and yield 1-tuples
+        for a, b in (((0, 0), (1,)), ((0,), (1, 1)), ((), (0,))):
+            with pytest.raises(ValueError):
+                Interval(a, b)
+
     def test_members(self):
         iv = Interval((0, 1), (1, 2))
         assert set(iv.members()) == {(0, 1), (0, 2), (1, 1), (1, 2)}
@@ -383,9 +395,9 @@ class TestSearchOrder:
         assert budget.nodes == 1001
 
 
-def reference_sdepth_at_least(poset, s, budget):
-    """The interval-partition search as it was before candidate tops were
-    cached per bottom: each node recomputes every interval's box size."""
+def reference_up_down(poset):
+    """up[i], down[i]: the bitmasks of the points >= and <= point i, one
+    coordinate at a time."""
     g, points = poset.g, poset.points
     up, down = [-1] * len(points), [-1] * len(points)
     for t, corner in enumerate(g):
@@ -397,6 +409,14 @@ def reference_sdepth_at_least(poset, s, budget):
         for i, p in enumerate(points):
             up[i] &= at_least[p[t]]
             down[i] &= at_most[p[t]]
+    return up, down
+
+
+def reference_sdepth_at_least(poset, s, budget):
+    """The interval-partition search as it was before candidate tops were
+    cached per bottom: each node recomputes every interval's box size."""
+    g, points = poset.g, poset.points
+    up, down = reference_up_down(poset)
     high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
     failed = set()
 
@@ -608,12 +628,20 @@ class TestCountingBound:
         ([(16383,)], 1, "quotient", 0),
     ], ids=["x^100-quotient", "x1^40x2^40-quotient", "x1^40x2^40-ideal",
             "x^16383-quotient"])
-    def test_large_boxes(self, gens, n, kind, bound):
+    def test_large_boxes(self, gens, n, kind, bound, monkeypatch):
         # far more than 64 polarized variables: the bound is still counted
+        # from the box, with one rho per point and no walk over subsets
         poset = characteristic_poset(ideal(gens, n), kind)
-        start = time.perf_counter()
+        calls = []
+
+        def counted(b, g):
+            calls.append(b)
+            return _rho(b, g)
+
+        monkeypatch.setattr(importlib.import_module("symdepth.sdepth"),
+                            "_rho", counted)
         assert counting_bound(poset) == bound
-        assert time.perf_counter() - start < 0.05
+        assert calls == list(poset.points)
         if len(poset.points) < 2000:
             assert sdepth_from_poset(poset).value <= bound
 
@@ -642,16 +670,42 @@ class TestAgainstReferenceSearch:
 
     def test_kernel_matches_reference_per_level(self):
         rng = random.Random(52)
-        for I in rng.sample(corpus(), 30):
-            J = I.symbolic_power(2)
-            for kind in ("ideal", "quotient"):
-                poset = characteristic_poset(J, kind)
-                for s in range(poset.n + 1):
-                    new, old = _Budget(DEFAULT_NODE_BUDGET), _Budget(
-                        DEFAULT_NODE_BUDGET)
-                    assert sdepth_at_least(poset, s, new) == \
-                        reference_sdepth_at_least(poset, s, old)
-                    assert new.nodes == old.nodes
+        cases = [(characteristic_poset(I.symbolic_power(2), kind),
+                  DEFAULT_NODE_BUDGET)
+                 for I in rng.sample(corpus(), 30)
+                 for kind in ("ideal", "quotient")]
+        # C6^(2) as an ideal: at the counting bound 4 both searches run
+        # out of 5,000 nodes
+        frontier = characteristic_poset(cycle(6).symbolic_power(2), "ideal")
+        cases.append((frontier, 5000))
+
+        def outcome(search, poset, s, limit):
+            budget = _Budget(limit)
+            try:
+                found = search(poset, s, budget)
+            except BudgetExceeded:
+                found = BudgetExceeded
+            return found, budget.nodes
+
+        for poset, limit in cases:
+            for s in range(poset.n + 1):
+                assert outcome(sdepth_at_least, poset, s, limit) == \
+                    outcome(reference_sdepth_at_least, poset, s, limit)
+        assert outcome(sdepth_at_least, frontier, 4, 5000) == (
+            BudgetExceeded, 5001)
+
+
+class TestMinimalPoints:
+    def test_peel_matches_the_brute_force_minimal_points(self):
+        rng = random.Random(22)
+        for poset in rng.sample(corpus_posets(), 60):
+            up, down = reference_up_down(poset)
+            full = (1 << len(poset.points)) - 1
+            for mask in [0, full] + [rng.getrandbits(len(poset.points))
+                                     for _ in range(20)]:
+                assert list(_minimal_points(mask, up)) == [
+                    a for a in range(len(poset.points))
+                    if down[a] & mask == 1 << a]
 
 
 def reference_minimal_generators(poset):
