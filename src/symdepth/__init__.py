@@ -1,6 +1,8 @@
 """Exact depth, Stanley depth, and symbolic-power stability toolkit for
 squarefree monomial ideals."""
 
+import types as _types
+
 from .complexes import HomologyProfile, SimplicialComplex, complex_of_ideal
 from .depth import (
     BettiTable,
@@ -43,5 +45,7 @@ from .stability import (
     verify_splitting_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"
+# the re-exported names, not the submodules the imports above bind
+__all__ = sorted(name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType)))
+__version__ = "0.2.0"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .homology import check_char, reduced_homology_from_faces
 from .monomial import _symbolic_power_cached
@@ -118,10 +118,6 @@ class HomologyProfile(namedtuple("HomologyProfile", "dims char")):
     def dim(self, i):
         return dict(self.dims).get(i, 0)
 
-    @property
-    def is_trivial(self):
-        return not self.dims
-
 
 class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
     __slots__ = ()
@@ -133,7 +129,8 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
         masks = []
         for f in facets:
             f = set(f)
-            if any(not isinstance(v, int) or v < 0 or v >= n for v in f):
+            if any(isinstance(v, bool) or not isinstance(v, int)
+                   or v < 0 or v >= n for v in f):
                 raise ValueError(f"facet {sorted(f)} has a vertex outside range(0, {n})")
             masks.append(mask_of(f))
         return cls(n, _reduce_to_facets(masks))
@@ -147,10 +144,6 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
     @property
     def is_void(self):
         return not self.facets
-
-    @property
-    def is_empty_complex(self):
-        return self.facets == (0,)
 
     @property
     def is_simplex(self):
@@ -201,12 +194,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
             self.n, tuple(vertices_of(full & ~f) for f in self.facets), 1
         )
 
-    # ----- purity / matroid / vertex decomposability ------------------------
-
-    def is_pure(self):
-        self._require_not_void()
-        cards = {f.bit_count() for f in self.facets}
-        return len(cards) == 1
+    # ----- matroid / vertex decomposability ---------------------------------
 
     def is_matroid(self):
         """Exchange-axiom check; returns (True, None) or (False, (F, G))
@@ -231,10 +219,6 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
         check_char(char)
         dims = homology_dims(self.facets, char)
         return HomologyProfile(tuple(sorted(dims.items())), char)
-
-    def face_counts(self):
-        """Number of faces per cardinality, {cardinality: count}."""
-        return dict(Counter(m.bit_count() for m in self.face_masks()))
 
 
 def _has_exchange(small, candidates, face_set):

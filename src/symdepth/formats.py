@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .complexes import SimplicialComplex, vertices_of
+from .complexes import SimplicialComplex
 from .monomial import MonomialIdeal
 
 _TERM = re.compile(r"^x(\d+)(?:\^(\d+))?$")
@@ -108,17 +108,6 @@ def ideal_from_text(text):
     return MonomialIdeal.from_generators(generators, n)
 
 
-def ideal_to_text(ideal):
-    lines = [f"n={ideal.n}"]
-    for g in ideal.gens:
-        terms = [
-            f"x{i + 1}" if a == 1 else f"x{i + 1}^{a}"
-            for i, a in enumerate(g) if a > 0
-        ]
-        lines.append("*".join(terms) if terms else "1")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_monomial(line, n):
     exponents = [0] * n
     if line == "1":
@@ -152,13 +141,6 @@ def complex_from_json(data):
             raise ValueError(f"facet {facet} has a vertex outside 1..{n}")
         converted.append(vertices)
     return SimplicialComplex.from_facets(n, converted)
-
-
-def complex_to_json(delta):
-    return {
-        "n": delta.n,
-        "facets": [[v + 1 for v in vertices_of(f)] for f in delta.facets],
-    }
 
 
 def load_ideal(path):

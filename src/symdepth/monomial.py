@@ -42,12 +42,15 @@ def check_exponents(u, n):
     return u
 
 
+def _check_power(k, what):
+    """Validate the exponent k of a power: an int (not a bool), k >= 1."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError(f"{what} exponent must be >= 1 and an integer, "
+                         f"got {k!r}")
+
+
 def divides(u, v):
     return all(a <= b for a, b in zip(u, v))
-
-
-def lcm_exp(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
 
 
 def mul_exp(u, v):
@@ -138,10 +141,6 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
         return bool(self.gens) and sum(self.gens[0]) == 0
 
     @property
-    def is_proper(self):
-        return not self.is_unit
-
-    @property
     def is_squarefree(self):
         return all(a <= 1 for g in self.gens for a in g)
 
@@ -157,25 +156,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
         u = check_exponents(u, self.n)
         return any(divides(g, u) for g in self.gens)
 
-    def localized_contains(self, u, inverted):
-        """Membership of u in the localization inverting the variables in
-        ``inverted``: exponents inside the inverted set are ignored."""
-        u = check_exponents(u, self.n)
-        inverted = frozenset(inverted)
-        return any(
-            all(g[i] <= u[i] for i in range(self.n) if i not in inverted)
-            for g in self.gens
-        )
-
     # ----- arithmetic -------------------------------------------------------
-
-    def intersect(self, other):
-        if self.n != other.n:
-            raise ValueError("ideals live in different rings")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal(self.n, ())
-        gens = (lcm_exp(g, h) for g in self.gens for h in other.gens)
-        return MonomialIdeal.from_generators(gens, self.n)
 
     def colon(self, u):
         """The quotient ideal (I : u)."""
@@ -186,8 +167,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
 
     def power(self, k):
         """Ordinary power I^k."""
-        if k < 1:
-            raise ValueError("power exponent must be >= 1")
+        _check_power(k, "power")
         gens = []
         for combo in itertools.combinations_with_replacement(self.gens, k):
             g = (0,) * self.n
@@ -212,25 +192,20 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
     def bight(self):
         return max(len(p) for p in self.minimal_primes())
 
-    def krull_dim_quotient(self):
-        return self.n - self.height()
-
     def is_unmixed(self):
         return self.height() == self.bight()
 
     def symbolic_power(self, k):
         """Symbolic power: intersection of the k-th powers of the minimal
         primes.  Defined for squarefree proper nonzero ideals."""
-        if k < 1:
-            raise ValueError("symbolic power exponent must be >= 1")
+        _check_power(k, "symbolic power")
         primes = self.minimal_primes()
         return _symbolic_power_cached(self.n, primes, k)
 
     def symbolic_contains(self, k, u):
         """Membership test in I^(k) through exponent sums over the minimal
         primes, without expanding the symbolic power."""
-        if k < 1:
-            raise ValueError("symbolic power exponent must be >= 1")
+        _check_power(k, "symbolic power")
         u = check_exponents(u, self.n)
         return all(sum(u[i] for i in p) >= k for p in self.minimal_primes())
 

@@ -39,7 +39,7 @@ def random_squarefree_ideal(rng, n):
             chosen = set(rng.sample(range(n), size))
             gens.append(tuple(1 if i in chosen else 0 for i in range(n)))
         ideal = MonomialIdeal.from_generators(gens, n)
-        if not ideal.is_zero and ideal.is_proper:
+        if not ideal.is_zero and not ideal.is_unit:
             return ideal
 
 
@@ -67,7 +67,7 @@ def random_non_squarefree_ideal(rng, n, max_exponent=3):
             count = rng.randint(1, n + 1)
             gens = [random_monomial(rng, n, max_exponent) for _ in range(count)]
         ideal = MonomialIdeal.from_generators(gens, n)
-        if not ideal.is_zero and ideal.is_proper and not ideal.is_squarefree:
+        if not ideal.is_zero and not ideal.is_unit and not ideal.is_squarefree:
             return ideal
 
 

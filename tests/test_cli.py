@@ -4,13 +4,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from symdepth import MonomialIdeal, SdepthResult, formats
 from symdepth.cli import main
+from symdepth.complexes import homology_dims
 from symdepth.depth import DepthWitness
 from _corpus import cycle
 
@@ -49,6 +49,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LIMITED_MAIN = ("import resource, sys; "
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                 "from symdepth.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def refuse_enumeration(*args):
+    raise AssertionError("an exponent box was enumerated")
 
 
 def run_python(code, *args):
@@ -91,12 +95,22 @@ class TestDepthCommand:
         assert code == 0
         assert "depth" in out and "1" in out
 
-    def test_principal_ideal_in_many_variables(self, tmp_path, capsys):
+    def test_principal_ideal_in_many_variables(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the Taylor bound n - mu(I) ends the scan at its first complex,
+        # so the engine takes one homology call
+        engine = importlib.import_module("symdepth.depth")
+        calls = []
+
+        def counted(facets, char):
+            calls.append(facets)
+            return homology_dims(facets, char)
+
+        monkeypatch.setattr(engine, "_homology_dims", counted)
         path = tmp_path / "principal.json"
         path.write_text(json.dumps({"n": 40, "generators": [[1] * 40]}))
-        start = time.perf_counter()
         code, out, _ = run(capsys, ["depth", str(path), "--engine", "takayama"])
-        assert time.perf_counter() - start < 1
+        assert len(calls) == 1
         assert code == 0
         assert json.loads(out) == {
             "depth": 39, "engine": "takayama", "char": 0,
@@ -114,18 +128,23 @@ class TestBettiCommand:
 
     @pytest.mark.parametrize("argv", [["depth", "--engine", "betti"],
                                       ["betti"]])
-    def test_box_too_large_exits_4(self, tmp_path, argv):
+    def test_box_too_large_exits_4(self, tmp_path, capsys, monkeypatch,
+                                   argv):
         # (x2, ..., x12)^(2): the Betti engine would scan a 3^11 lcm box
         prime = [tuple(int(j == i) for j in range(12)) for i in range(1, 12)]
         power = MonomialIdeal.from_generators(prime, 12).symbolic_power(2)
         path = tmp_path / "square.json"
         path.write_text(json.dumps(formats.ideal_to_json(power)))
-        start = time.perf_counter()
         result = run_python(LIMITED_MAIN, argv[0], str(path), *argv[1:])
-        assert time.perf_counter() - start < 1
         assert result.returncode == 4
         assert result.stdout == ""
         assert "Betti lcm box has 177147 points" in result.stderr
+        # the box is refused before its divisor table is made
+        monkeypatch.setattr(importlib.import_module("symdepth.depth"),
+                            "divisor_masks", refuse_enumeration)
+        code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+        assert (code, out) == (4, "")
+        assert "Betti lcm box has 177147 points" in err
 
 
 class TestSdepthCommand:
@@ -147,19 +166,23 @@ class TestSdepthCommand:
         assert code == 4
         assert "budget" in err or "nodes" in err
 
-    def test_box_too_large_exits_4(self, tmp_path):
+    def test_box_too_large_exits_4(self, tmp_path, capsys, monkeypatch):
         # (x2, ..., x12)^(2) in 12 variables: a 3^11 box, whose order masks
         # alone would take about 8 GB
         prime = [tuple(int(j == i) for j in range(12)) for i in range(1, 12)]
         power = MonomialIdeal.from_generators(prime, 12).symbolic_power(2)
         path = tmp_path / "square.json"
         path.write_text(json.dumps(formats.ideal_to_json(power)))
-        start = time.perf_counter()
         result = run_python(LIMITED_MAIN, "sdepth", str(path))
-        assert time.perf_counter() - start < 2
         assert result.returncode == 4
         assert result.stdout == ""
         assert "177147 points" in result.stderr
+        # the box is refused before its divisor table is made
+        monkeypatch.setattr(importlib.import_module("symdepth.monomial"),
+                            "divisor_masks", refuse_enumeration)
+        code, out, err = run(capsys, ["sdepth", str(path)])
+        assert (code, out) == (4, "")
+        assert "177147 points" in err
 
     def test_frontier_quotient_decided_by_splitting(self, tmp_path, capsys):
         # the search runs out of its 1000 nodes at the counting bound 2, and
@@ -489,13 +512,31 @@ class TestErrorHandling:
         assert out == ""
         assert "characteristic" in err
 
-    def test_large_prime_char_is_quick(self, triangle_file, capsys):
-        # 2^61 - 1 is prime; trial division to its square root never ended
+    def test_large_prime_char_is_quick(self, triangle_file, capsys,
+                                       monkeypatch):
+        # 2^61 - 1 is prime; trial division to its square root never ended.
+        # Each primality test (the option and each entry point check the
+        # char) takes at most 1 + s modular powers for each of its 12
+        # bases, where 2^61 - 2 = d * 2^s with d odd (s = 1)
+        homology = importlib.import_module("symdepth.homology")
+        tests, powers = [], []
+
+        def tested(p):
+            tests.append(p)
+            return is_prime(p)
+
+        def counted(*args):
+            powers.append(args)
+            return pow(*args)
+
+        is_prime = homology._is_prime
+        monkeypatch.setattr(homology, "_is_prime", tested)
+        monkeypatch.setattr(homology, "pow", counted, raising=False)
         char = 2**61 - 1
-        start = time.perf_counter()
         code, out, _ = run(capsys, ["depth", triangle_file,
                                     "--char", str(char)])
-        assert time.perf_counter() - start < 1
+        assert tests and set(tests) == {char}
+        assert len(tests) <= len(powers) <= 24 * len(tests)
         assert code == 0
         assert json.loads(out)["char"] == char
 

@@ -32,7 +32,7 @@ from symdepth.depth import BettiTable, DepthWitness
 from symdepth.homology import check_char
 from symdepth.monomial import MAX_BOX_POINTS
 from symdepth.monomial import (box_divisors, check_exponents, divides,
-                               divisor_masks, lcm_exp, support)
+                               divisor_masks, support)
 
 from _corpus import (
     RP2_FACETS,
@@ -43,6 +43,7 @@ from _corpus import (
     random_monomial,
     random_squarefree_ideal,
 )
+from _reference import lcm_exp, localized_contains
 
 
 def ideal(gens, n):
@@ -64,7 +65,7 @@ class TestTakayamaComplex:
 
     def test_empty_complex_with_cosupport(self):
         c = takayama_complex(ideal([(1, 1)], 2), DegreePair((0, 0), frozenset({0})))
-        assert c.is_empty_complex
+        assert c.facets == (0,)
 
     def test_cosupport_must_be_disjoint(self):
         with pytest.raises(ValueError):
@@ -97,7 +98,7 @@ class TestDepthViaTakayama:
 class TestUpperKoszul:
     def test_edge_generator_degree(self):
         c = upper_koszul_complex(ideal([(1, 1)], 2), (1, 1))
-        assert c.is_empty_complex
+        assert c.facets == (0,)
         assert c.reduced_homology().dims == ((-1, 1),)
 
     def test_generator_degree_records_syzygy_start(self):
@@ -107,7 +108,7 @@ class TestUpperKoszul:
 
     def test_unit_ideal_origin(self):
         c = upper_koszul_complex(unit_ideal(2), (0, 0))
-        assert c.is_empty_complex
+        assert c.facets == (0,)
 
     def test_degree_outside_box_rejected(self):
         with pytest.raises(ValueError):
@@ -473,7 +474,7 @@ def reference_takayama_complex(ideal, pair):
     free_mask = ((1 << ideal.n) - 1) & ~cos_mask
     faces = [
         f for f in submasks(free_mask)
-        if not ideal.localized_contains(alpha, vertices_of(f | cos_mask))
+        if not localized_contains(ideal, alpha, vertices_of(f | cos_mask))
     ]
     return SimplicialComplex.from_face_masks(ideal.n, faces)
 
@@ -621,17 +622,24 @@ class TestGenericPath:
             built = takayama_complex(I, pair)
             assert built == reference_takayama_complex(I, pair), (I, pair)
             seen.add("void" if built.is_void else
-                     "empty" if built.is_empty_complex else "other")
+                     "empty" if built.facets == (0,) else "other")
         assert seen == {"void", "empty", "other"}
 
     def test_generic_path_takes_no_membership_test(self, monkeypatch):
         J = _ordinary_power_plus_x1_5()
         assert J.prime_structure() is None
 
-        def refuse(self, u, inverted):
+        # neither the library's membership tests nor the builder that
+        # witnesses are checked against: the subset scan by the membership
+        # definition (_reference.localized_contains) is the tests' alone
+        engine = importlib.import_module("symdepth.depth")
+
+        def refuse(*args):
             raise AssertionError("membership test on the generic path")
 
-        monkeypatch.setattr(MonomialIdeal, "localized_contains", refuse)
+        monkeypatch.setattr(MonomialIdeal, "contains", refuse)
+        monkeypatch.setattr(engine, "divides", refuse)
+        monkeypatch.setattr(engine, "takayama_complex", refuse)
         witness = depth_via_takayama(J)
         assert witness.to_dict() == {
             "depth": 1, "engine": "takayama", "char": 0,
@@ -1029,7 +1037,7 @@ class TestSearchBoxJustification:
             alpha = list(rng.randint(0, max(r - 1, 0)) for r in rho)
             alpha[j] = rho[j] + rng.randint(0, 2)
             c = takayama_complex(J, DegreePair(tuple(alpha), frozenset()))
-            assert c.reduced_homology().is_trivial
+            assert not c.reduced_homology().dims
 
     def test_cosupport_magnitude_irrelevance(self):
         # the complex only sees alpha outside the cosupport
@@ -1046,8 +1054,8 @@ class TestSearchBoxJustification:
             faces = [
                 f for f in range(1 << n)
                 if not f & sum(1 << i for i in cos)
-                and not I.localized_contains(
-                    perturbed, {i for i in range(n) if f >> i & 1} | cos
+                and not localized_contains(
+                    I, perturbed, {i for i in range(n) if f >> i & 1} | cos
                 )
             ]
             rebuilt = SimplicialComplex.from_face_masks(n, faces)
@@ -1060,14 +1068,14 @@ class TestDepthBounds:
         for _ in range(20):
             I = random_squarefree_ideal(rng, rng.randint(2, 5))
             w = depth(I, "cross_check")
-            assert 0 <= w.depth <= I.krull_dim_quotient()
+            assert 0 <= w.depth <= I.n - I.height()
 
     def test_cohen_macaulay_iff_pd_equals_height(self):
         rng = random.Random(36)
         for _ in range(20):
             I = random_squarefree_ideal(rng, rng.randint(2, 4))
             pd = betti_table(I).projective_dimension()
-            cm = depth(I, "cross_check").depth == I.krull_dim_quotient()
+            cm = depth(I, "cross_check").depth == I.n - I.height()
             assert cm == (pd == I.height())
 
 

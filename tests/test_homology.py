@@ -12,6 +12,7 @@ from symdepth.homology import (_boundary_matrix, check_char, matrix_rank,
                                reduced_homology_from_faces)
 
 from _corpus import RP2_FACETS, corpus
+from _reference import face_counts
 
 
 def reference_rank(rows, char):
@@ -129,7 +130,7 @@ class TestEngineComplexes:
         monkeypatch.setattr("symdepth.homology.matrix_rank", reference_rank)
         for (facets, char), dims in (answered["takayama"] | answered["betti"]).items():
             complex_ = SimplicialComplex(max(facets, default=0).bit_length(), facets)
-            faces = complex_.face_counts()
+            faces = face_counts(complex_)
             assert sum((-1) ** (i + 1) * d for i, d in dims.items()) == \
                 sum((-1) ** c * count for c, count in faces.items()), facets
             assert dims == reduced_homology_from_faces(complex_.face_masks(), char)

@@ -30,6 +30,7 @@ from _corpus import (
     random_monomial,
     random_squarefree_ideal,
 )
+from _reference import ideal_to_text, intersect, localized_contains
 
 
 def ideal(gens, n):
@@ -77,21 +78,21 @@ class TestContains:
 
 class TestLocalizedContains:
     def test_full_localization_is_unit(self):
-        assert ideal([(1, 1)], 2).localized_contains((0, 0), {0, 1})
+        assert localized_contains(ideal([(1, 1)], 2), (0, 0), {0, 1})
 
     def test_partial_localization(self):
         I = ideal([(1, 1)], 2)
-        assert not I.localized_contains((0, 0), {0})
-        assert I.localized_contains((0, 1), {0})
+        assert not localized_contains(I, (0, 0), {0})
+        assert localized_contains(I, (0, 1), {0})
 
 
 class TestIntersect:
     def test_principal(self):
-        assert ideal([(1, 0)], 2).intersect(ideal([(0, 1)], 2)).gens == ((1, 1),)
+        assert intersect(ideal([(1, 0)], 2), ideal([(0, 1)], 2)).gens == ((1, 1),)
 
     def test_idempotent(self):
         I = ideal([(1, 0), (0, 1)], 2)
-        assert I.intersect(I) == I
+        assert intersect(I, I) == I
 
     def test_three_prime_squares(self):
         # brute-force minimal solutions of a+b>=2, a+c>=2, b+c>=2
@@ -99,20 +100,20 @@ class TestIntersect:
         a = p((2, 0, 0), (1, 1, 0), (0, 2, 0))
         b = p((2, 0, 0), (1, 0, 1), (0, 0, 2))
         c = p((0, 2, 0), (0, 1, 1), (0, 0, 2))
-        result = a.intersect(b).intersect(c)
+        result = intersect(intersect(a, b), c)
         assert result.gens == (
             (1, 1, 1), (0, 2, 2), (2, 0, 2), (2, 2, 0),
         )
 
     def test_different_rings_rejected(self):
         with pytest.raises(ValueError, match="different rings"):
-            ideal([(1, 0)], 2).intersect(ideal([(1, 0, 0)], 3))
+            intersect(ideal([(1, 0)], 2), ideal([(1, 0, 0)], 3))
 
     @pytest.mark.parametrize("left_zero", [True, False])
     def test_with_zero_ideal(self, left_zero):
         I = ideal([(1, 1, 0), (0, 1, 1)], 3)
         pair = (zero_ideal(3), I) if left_zero else (I, zero_ideal(3))
-        result = pair[0].intersect(pair[1])
+        result = intersect(*pair)
         assert result.is_zero and result.n == 3
 
 
@@ -144,6 +145,25 @@ class TestOrdinaryPower:
     def test_zeroth_power_rejected(self):
         with pytest.raises(ValueError, match="power exponent must be >= 1"):
             ideal([(1, 0), (0, 1)], 2).power(0)
+
+
+class TestPowerExponent:
+    # power, symbolic_power and symbolic_contains take one exponent check,
+    # an int (not a bool) at least 1; TestPower and TestSymbolicPower
+    # reject 0
+    CALLS = {
+        "power": lambda I, k: I.power(k),
+        "symbolic_power": lambda I, k: I.symbolic_power(k),
+        "symbolic_contains": lambda I, k: I.symbolic_contains(k, (1, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_rejected(self, name, k):
+        I = ideal([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3)
+        with pytest.raises(ValueError, match=f"exponent must be >= 1 and an "
+                           f"integer, got {k!r}"):
+            self.CALLS[name](I, k)
 
 
 class TestMinimalPrimes:
@@ -225,11 +245,11 @@ class TestMinimalPrimesAgainstEnumeration:
 class TestHeightDim:
     def test_triangle(self):
         I = ideal([(1, 1, 0), (1, 0, 1), (0, 1, 1)], 3)
-        assert (I.height(), I.bight(), I.krull_dim_quotient()) == (2, 2, 1)
+        assert (I.height(), I.bight(), I.n - I.height()) == (2, 2, 1)
 
     def test_principal(self):
         I = ideal([(1, 1, 1)], 3)
-        assert (I.height(), I.bight(), I.krull_dim_quotient()) == (1, 1, 2)
+        assert (I.height(), I.bight(), I.n - I.height()) == (1, 1, 2)
 
 
 class TestSymbolicPower:
@@ -271,7 +291,7 @@ class TestSymbolicPowerConstruction:
             for k in (1, 2, 3):
                 expected = primes[0].power(k)
                 for P in primes[1:]:
-                    expected = expected.intersect(P.power(k))
+                    expected = intersect(expected, P.power(k))
                 assert I.symbolic_power(k).gens == expected.gens
 
     def test_generators_are_minimal_members(self):
@@ -302,7 +322,7 @@ def prime_power_fold(primes, k, n):
     ]
     folded = powers[0]
     for P in powers[1:]:
-        folded = folded.intersect(P)
+        folded = intersect(folded, P)
     return folded
 
 
@@ -534,8 +554,8 @@ class TestRandomizedProperties:
                     u = random_monomial(rng, 3, m + 1)
                     for f_mask in range(8):
                         F = {i for i in range(3) if f_mask >> i & 1}
-                        assert Im.localized_contains(u, F) == \
-                            J.localized_contains(pow_exp(u, k + 1), F)
+                        assert localized_contains(Im, u, F) == \
+                            localized_contains(J, pow_exp(u, k + 1), F)
 
     def test_colon_distributes_over_intersection(self):
         rng = random.Random(15)
@@ -544,7 +564,7 @@ class TestRandomizedProperties:
             I = random_squarefree_ideal(rng, n)
             J = random_squarefree_ideal(rng, n)
             u = random_monomial(rng, n, 2)
-            assert I.intersect(J).colon(u) == I.colon(u).intersect(J.colon(u))
+            assert intersect(I, J).colon(u) == intersect(I.colon(u), J.colon(u))
 
 
 def brute_force_box_divisors(gens, corner):
@@ -632,6 +652,27 @@ def _imports(module):
     return found
 
 
+class TestPublicSurface:
+    def test_all_lists_the_re_exported_names(self):
+        # no submodule, and nothing beyond what the package re-exports
+        assert symdepth.__all__ == [
+            "BettiTable", "BudgetExceeded", "CharacteristicPoset",
+            "CheckResult", "DegreePair", "DepthWitness", "EngineDisagreement",
+            "HomologyProfile", "INFINITY", "Interval", "IntervalPartition",
+            "MatroidReport", "MonomialIdeal", "SdepthResult",
+            "SequenceReport", "SimplicialComplex", "StabilityReport",
+            "analyze_stability", "betti_table", "characteristic_poset",
+            "complex_of_ideal", "depth", "depth_via_betti",
+            "depth_via_takayama", "matroid_report", "sdepth",
+            "sdepth_at_least", "sdepth_from_poset", "sequence",
+            "split_by_variable", "takayama_complex", "unit_ideal",
+            "upper_koszul_complex", "verify_colon_identity",
+            "verify_depth_comparison", "verify_power_membership",
+            "verify_sdepth_comparison", "verify_splitting_bound",
+            "zero_ideal",
+        ]
+
+
 class TestLayering:
     def test_depth_engines_do_not_import_sdepth(self):
         for module in ("depth", "monomial"):
@@ -703,7 +744,7 @@ class TestJsonTextRoundTrip:
         assert ideal_from_json(ideal_to_json(I)) == I
 
     def test_text(self):
-        from symdepth.formats import ideal_from_text, ideal_to_text
+        from symdepth.formats import ideal_from_text
         I = ideal([(2, 0, 1), (0, 1, 0)], 3)
         assert ideal_from_text(ideal_to_text(I)) == I
 
@@ -737,5 +778,5 @@ class TestJsonTextRoundTrip:
             complex_from_json('{"n": 3, "facets": [[1.5, 2]]}')
 
     def test_unit_text_round_trip(self):
-        from symdepth.formats import ideal_from_text, ideal_to_text
+        from symdepth.formats import ideal_from_text
         assert ideal_from_text(ideal_to_text(unit_ideal(2))).is_unit
