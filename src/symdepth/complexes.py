@@ -131,7 +131,10 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
             f = set(f)
             if any(isinstance(v, bool) or not isinstance(v, int)
                    or v < 0 or v >= n for v in f):
-                raise ValueError(f"facet {sorted(f)} has a vertex outside range(0, {n})")
+                # vertices of other types need not compare with ints
+                numeric = all(isinstance(v, (int, float)) for v in f)
+                shown = sorted(f, key=None if numeric else repr)
+                raise ValueError(f"facet {shown} has a vertex outside range(0, {n})")
             masks.append(mask_of(f))
         return cls(n, _reduce_to_facets(masks))
 

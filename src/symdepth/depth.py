@@ -187,6 +187,27 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
                                   key=_facet_key))
 
 
+def _disconnected(facets):
+    """Whether the complex with these facets has reduced homology in
+    degree -1 or 0, over every field: it is {emptyset} (facets (0,)), or
+    its facets fall into two or more components.  The void complex has
+    none.  Takes no ranks."""
+    if not facets:
+        return False
+    component, rest = facets[0], facets[1:]
+    while rest:
+        left = []
+        for f in rest:
+            if f & component:
+                component |= f
+            else:
+                left.append(f)
+        if len(left) == len(rest):
+            return True  # no facet left meets the component
+        rest = left
+    return not component
+
+
 def depth_via_takayama(ideal, char=0):
     """Depth of S/I as the least cohomological degree with a nonvanishing
     witness multidegree, searched over the finite exponent box.
@@ -201,7 +222,20 @@ def depth_via_takayama(ideal, char=0):
     live prime (one missing G), and any other G takes one multidegree per
     set of short primes, with index min(dims) + |G| + 1.  Otherwise,
     principal ideals included, each alpha_plus takes the Alexander dual of
-    its complex, with index n - 2 - max(dims)."""
+    its complex, with index n - 2 - max(dims).
+
+    On the prime-power path a witness of index b leaves a G of size c
+    only homology in degree <= b - c - 2 to beat it.  Degree -1 is the
+    complex {emptyset}, met only at alpha = 0 where V - G is a minimal
+    prime P.  At alpha = 0 the complex is the link of G in the complex
+    whose facets are the V - Q, Q a minimal prime.  If some Q is not P,
+    the largest meet H of the facet G with another facet has a
+    disconnected link, so the smaller cosupport H, scanned first, has
+    index |H| + 1 <= c; if P is the only prime, every other complex is
+    a simplex or void.  So no G of size c beats an index c + 1, and the
+    scan ends there, a level before the general rule.  At b = c + 2 only
+    degree 0 can win: _disconnected picks, without ranks, the complexes
+    that go to homology."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
@@ -216,6 +250,8 @@ def depth_via_takayama(ideal, char=0):
         primes, k = structure
         prime_masks = [mask_of(p) for p in primes]
         full = (1 << n) - 1
+    # an index of at most |G| + margin is the depth (see the docstring)
+    margin = 0 if structure is None else 1
 
     # A free variable (in no generator) lies in every facet at a cosupport
     # that misses it, so only cosupports holding every free variable are
@@ -225,7 +261,7 @@ def depth_via_takayama(ideal, char=0):
     others = [j for j in range(n) if rho[j]]
     best = None  # the witness of the least index so far
     for csize in range(len(free), n + 1):
-        if best is not None and best.depth <= csize:
+        if best is not None and best.depth <= csize + margin:
             return best
         for rest in itertools.combinations(others, csize - len(free)):
             cosupport = tuple(sorted(rest + free))
@@ -243,6 +279,9 @@ def depth_via_takayama(ideal, char=0):
                     prime_masks, k, rho, cos_mask
                 )
             for alpha, facets in complexes:
+                if margin and best is not None and \
+                        best.depth == csize + 2 and not _disconnected(facets):
+                    continue  # no homology in degree 0 or below
                 dims = _homology_dims(facets, char)
                 if not dims:
                     continue
@@ -251,8 +290,8 @@ def depth_via_takayama(ideal, char=0):
                 if best is None or i < best.depth:
                     best = DepthWitness(i, "takayama", char, alpha, cosupport,
                                         i - csize - 1)
-                    if i in (csize, n - len(ideal.gens)):
-                        return best  # no index is smaller
+                    if i <= csize + margin or i == n - len(ideal.gens):
+                        return best  # no index ahead is smaller
     # at csize = n every complex is void, so a witness has returned above
     raise RuntimeError("no nonvanishing cohomology found; search box bug")
 

@@ -18,12 +18,16 @@ ranks stay exact.
 
 from __future__ import annotations
 
+import functools
 import math
 
 
+@functools.lru_cache(maxsize=128)
 def _is_prime(p):
     """Deterministic Miller-Rabin: below 2^64 a strong probable prime to
-    the first twelve primes is prime (Sorenson-Webster 2015)."""
+    the first twelve primes is prime (Sorenson-Webster 2015).  Memoized,
+    so a char is tested once however many entry points check it; a run
+    meets few chars, and the bound caps a loop over many."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2 or any(p % a == 0 for a in bases):
         return p in bases

@@ -173,11 +173,16 @@ def _compare_powers(name, ideal, m, k, kinds, value):
     admissible j; a kind of None puts no "kind" key in the rows."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
+    js = _admissible_j(m, k)
     rows = []
     for kind in kinds:
-        lhs = value(kind, ideal.symbolic_power(m))
-        for j in _admissible_j(m, k):
-            rhs = value(kind, ideal.symbolic_power(k * m + j))
+        # each distinct power once, in increasing order: at m = 1 the lhs
+        # power I^(1) is also the row k * m + j = 1
+        values = {t: value(kind, ideal.symbolic_power(t))
+                  for t in dict.fromkeys([m] + [k * m + j for j in js])}
+        lhs = values[m]
+        for j in js:
+            rhs = values[k * m + j]
             rows.append(dict({} if kind is None else {"kind": kind},
                              m=m, k=k, j=j, lhs=json_value(lhs),
                              rhs=json_value(rhs), ok=lhs >= rhs))

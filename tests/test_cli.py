@@ -386,11 +386,12 @@ class TestVerifyCommands:
                "ideal": self.TRIANGLE_GENS}
 
     def test_sdepsym_counterexample(self, triangle_file, capsys, monkeypatch):
+        # I^(1) is searched once, for the lhs and the row j = -1 alike
         monkeypatch.setattr("symdepth.stability.sdepth", first_call_then(
             SdepthResult("ideal", 1), SdepthResult("ideal", 2)))
         assert self._counterexample(capsys, [
             "verify", "sdepsym", triangle_file, "-m", "1", "-k", "2",
-        ]) == {"kind": "ideal", "m": 1, "k": 2, "j": -1, "lhs": 1, "rhs": 2,
+        ]) == {"kind": "ideal", "m": 1, "k": 2, "j": 0, "lhs": 1, "rhs": 2,
                "ok": False, "ideal": self.TRIANGLE_GENS}
 
     def test_power_lemma_counterexample(self, triangle_file, capsys,
@@ -516,8 +517,9 @@ class TestErrorHandling:
                                        monkeypatch):
         # 2^61 - 1 is prime; trial division to its square root never ended.
         # Each primality test (the option and each entry point check the
-        # char) takes at most 1 + s modular powers for each of its 12
-        # bases, where 2^61 - 2 = d * 2^s with d odd (s = 1)
+        # char; all but the first read the memo) takes at most 1 + s
+        # modular powers for each of its 12 bases, where 2^61 - 2 = d * 2^s
+        # with d odd (s = 1)
         homology = importlib.import_module("symdepth.homology")
         tests, powers = [], []
 
@@ -530,6 +532,7 @@ class TestErrorHandling:
             return pow(*args)
 
         is_prime = homology._is_prime
+        is_prime.cache_clear()  # Miller-Rabin runs here, whatever ran before
         monkeypatch.setattr(homology, "_is_prime", tested)
         monkeypatch.setattr(homology, "pow", counted, raising=False)
         char = 2**61 - 1

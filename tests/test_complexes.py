@@ -43,6 +43,12 @@ class TestFromFacets:
         with pytest.raises(ValueError, match="outside range"):
             cx(3, [[True, 2]])
 
+    @pytest.mark.parametrize("facet", [["a", 1], [None, 1], [1.5, "b"]])
+    def test_vertex_of_another_type_rejected(self, facet):
+        # a ValueError, though the vertices do not compare with ints
+        with pytest.raises(ValueError, match=r"outside range\(0, 3\)"):
+            cx(3, [facet])
+
     def test_dim(self):
         assert cx(3, [(0, 1), (2,)]).dim() == 1
         with pytest.raises(ValueError):

@@ -863,11 +863,13 @@ class TestTakayamaBoxScanReference:
         monkeypatch.setattr(engine, "_reduce_to_facets", counted)
         monkeypatch.setattr(engine, "_prime_power_complexes", recorded)
         witness = depth_via_takayama(cycle(10).symbolic_power(2))
-        # one complex per distinct short-prime set at each cosupport that
-        # passes the cover test (the 20 that fail it would take 50 more);
-        # the box scan made one per multidegree, 17,664.  The complements
-        # of the short primes are already the facets, so none is reduced
-        assert len(complexes) == 1064
+        # one complex per distinct short-prime set at the cosupports of
+        # size 0 and 1: the witness at () has index 3, so the scan ends
+        # before size 2, whose 25 cosupports that pass the cover test took
+        # 290 more (the box scan made one per multidegree, 17,664).  The
+        # complements of the short primes are already the facets, so none
+        # is reduced
+        assert len(complexes) == 774
         assert not reduced
         assert witness.depth == 3
 
@@ -889,8 +891,10 @@ class TestTakayamaBoxScanReference:
         # this counts work: ranks are taken only on strong-collapse cores
         # that are not a single vertex (on the raw facets there were 377
         # such calls), and the one void complex of C10^(2) no longer
-        # reaches the rank code (it took one call more)
-        assert len(calls) == 56
+        # reaches the rank code (it took one call more).  Past the witness
+        # of index 3 at (), the scan ends before size 2 (25 calls more) and
+        # at size 1 only disconnected complexes reach homology (20 more)
+        assert len(calls) == 11
         assert witness.depth == 3
 
     def test_free_variables(self):
@@ -949,11 +953,8 @@ class TestCoverTest:
     live prime takes no scan: every complex there is a cone or void.  The
     corpus witnesses are compared in TestTakayamaBoxScanReference."""
 
-    @pytest.mark.parametrize("n, k, visited, skipped", [
-        (8, 1, 37, 12), (8, 2, 37, 12), (10, 1, 56, 20), (10, 2, 56, 20),
-    ])
-    def test_skipped_cosupports_on_cycles(self, monkeypatch, n, k, visited,
-                                          skipped):
+    @staticmethod
+    def _assert_scanned(monkeypatch, J, visited, skipped):
         engine = importlib.import_module("symdepth.depth")
         scan = engine._prime_power_complexes
         scanned = []
@@ -963,16 +964,35 @@ class TestCoverTest:
             return scan(prime_masks, k, rho, cos_mask)
 
         monkeypatch.setattr(engine, "_prime_power_complexes", counted)
-        J = cycle(n).symbolic_power(k)
         witness = depth_via_takayama(J)
         assert witness.to_dict() == reference_depth_via_takayama(J).to_dict()
-        # the scan stops before the cosupports of size witness.depth
+        # the scan stops before the cosupports of size witness.depth - 1:
+        # none of them beats an index one above its size
         masks = [mask_of(p) for p in J.prime_structure()[0]]
-        reached = [mask_of(G) for size in range(witness.depth)
-                   for G in itertools.combinations(range(n), size)]
+        reached = [mask_of(G) for size in range(witness.depth - 1)
+                   for G in itertools.combinations(range(J.n), size)]
         assert len(reached) == visited
-        assert scanned == [G for G in reached if not _uncovered(masks, n, G)]
+        assert scanned == [G for G in reached
+                           if not _uncovered(masks, J.n, G)]
         assert len(reached) - len(scanned) == skipped
+
+    @pytest.mark.parametrize("n, k, visited, skipped", [
+        (8, 1, 9, 0), (8, 2, 9, 0), (10, 1, 11, 0), (10, 2, 11, 0),
+    ])
+    def test_skipped_cosupports_on_cycles(self, monkeypatch, n, k, visited,
+                                          skipped):
+        self._assert_scanned(monkeypatch, cycle(n).symbolic_power(k),
+                             visited, skipped)
+
+    @pytest.mark.parametrize("n, k, visited, skipped", [
+        (7, 1, 8, 2), (8, 2, 9, 2),
+    ])
+    def test_skipped_cosupports_on_paths(self, monkeypatch, n, k, visited,
+                                         skipped):
+        # below the level where the cycles stop, each of their cosupports
+        # passes the cover test; the paths skip two
+        self._assert_scanned(monkeypatch, path(n).symbolic_power(k),
+                             visited, skipped)
 
     def test_skipped_cosupports_are_acyclic_on_the_corpus(self):
         engine = importlib.import_module("symdepth.depth")
@@ -992,6 +1012,80 @@ class TestCoverTest:
                         assert homology_dims(facets, 0) == {}
         # of the 2^n cosupports of each power of the fixed corpus
         assert skipped == 4180
+
+
+class TestWitnessBound:
+    """On the prime-power path a witness of index b leaves a cosupport of
+    size c only homology in degree <= b - c - 2 to beat it: none at
+    c = b - 1, and only degree 0 (a disconnected complex) at c = b - 2."""
+
+    def test_disconnected_matches_low_homology_on_the_corpus(self):
+        engine = importlib.import_module("symdepth.depth")
+        seen = collections.Counter()
+        for I in corpus():
+            for k in (1, 2, 3):
+                J = I.symbolic_power(k)
+                primes, _ = J.prime_structure()
+                masks = [mask_of(p) for p in primes]
+                rho = J.generator_degree_bounds()
+                for cos_mask in range(1 << I.n):
+                    for _, facets in engine._prime_power_complexes(
+                            masks, k, rho, cos_mask):
+                        low = engine._disconnected(facets)
+                        for char in (0, 2):
+                            dims = homology_dims(facets, char)
+                            assert low == (-1 in dims or 0 in dims), facets
+                        seen["void" if not facets else "empty"
+                             if facets == (0,) else str(low)] += 1
+        assert set(seen) == {"void", "empty", "True", "False"}
+
+    def test_a_cosupport_of_a_minimal_prime_is_beaten_below_it(self):
+        # {emptyset}, the only complex with homology in degree -1, comes at
+        # alpha = 0 of G = V - P, P a minimal prime.  When I has another
+        # minimal prime Q, the complex at alpha = 0 of the meet H of G with
+        # a facet V - Q of largest meet is disconnected, so the smaller
+        # cosupport H has index |H| + 1 <= |G|: G never beats an index
+        # |G| + 1 in hand, and the scan ends a level early
+        engine = importlib.import_module("symdepth.depth")
+        checked = 0
+        for I in corpus():
+            masks = [mask_of(p) for p in I.minimal_primes()]
+            full = (1 << I.n) - 1
+            rho = I.generator_degree_bounds()
+            for P in masks:
+                G = full & ~P
+                others = [full & ~Q for Q in masks if Q != P]
+                if not others:
+                    continue
+                H = max((G & F for F in others), key=int.bit_count)
+                (alpha, facets), *_ = engine._prime_power_complexes(
+                    masks, 1, rho, H)
+                assert alpha == (0,) * I.n
+                assert H.bit_count() < G.bit_count()
+                assert 0 in homology_dims(facets, 0)
+                checked += 1
+        assert checked == 260  # primes of corpus ideals with two or more
+
+    def test_empty_complex_witnesses_only_one_minimal_prime(self):
+        # so no witness of the corpus has homology index -1 unless I has a
+        # single minimal prime, as P^(k) = P^k does: its witness is the
+        # {emptyset} complex at the cosupport V - P
+        for I in corpus():
+            for k in (1, 2, 3):
+                witness = depth_via_takayama(I.symbolic_power(k))
+                assert (witness.homology_index == -1) == \
+                    (len(I.minimal_primes()) == 1)
+        prime = ideal([(0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)], 5)
+        for k in (1, 2, 3):
+            for char in (0, 2):
+                J = prime.symbolic_power(k)
+                witness = depth_via_takayama(J, char)
+                assert witness == reference_depth_via_takayama(J, char)
+                assert witness.to_dict() == {
+                    "depth": 2, "engine": "takayama", "char": char,
+                    "alpha_plus": [0] * 5, "cosupport": [1, 5],
+                    "homology_index": -1,
+                }
 
 
 class TestEngineAgreementRandom:

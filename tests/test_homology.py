@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import random
 import re
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symdepth import betti_table, depth_via_takayama
+from symdepth.cli import main
 from symdepth.complexes import SimplicialComplex
 from symdepth.homology import (_boundary_matrix, check_char, matrix_rank,
                                reduced_homology_from_faces)
@@ -107,7 +109,8 @@ class TestEngineComplexes:
         # that H_-1 and the empty face take integer signs).  The engines
         # take homology on the strong-collapse core, so the dims are also
         # taken again on all faces of the raw complex, with reference_rank
-        # in place of matrix_rank.
+        # in place of matrix_rank.  The whole corpus: the Takayama scan
+        # takes homology only on complexes that can beat its witness.
         engine = importlib.import_module("symdepth.depth")
         homology = engine._homology_dims
         answered = {"takayama": {}, "betti": {}}
@@ -118,7 +121,7 @@ class TestEngineComplexes:
             return asking[facets, char]
 
         monkeypatch.setattr(engine, "_homology_dims", recorded)
-        for I in random.Random(43).sample(corpus(), 50):
+        for I in corpus():
             for k in (1, 2):
                 for char in (0, 2):
                     asking = answered["takayama"]
@@ -243,3 +246,24 @@ class TestCheckChar:
                 assert not prime
             else:
                 assert prime or char == 0
+
+    def test_each_char_tested_once_per_process(self, monkeypatch, tmp_path,
+                                               capsys):
+        # the --char option, depth, both engines and the Betti table each
+        # check the char; Miller-Rabin takes 19 modular powers on it once
+        homology = importlib.import_module("symdepth.homology")
+        homology._is_prime.cache_clear()
+        powers = []
+
+        def counted(*args):
+            powers.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(homology, "pow", counted, raising=False)
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps(
+            {"n": 3, "generators": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}))
+        assert main(["depth", str(triangle),
+                     "--char", "2305843009213693951"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 1
+        assert len(powers) == 19

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from symdepth import (
 )
 
 from symdepth.stability import _bight_bound
-from _corpus import random_squarefree_ideal
+from _corpus import path, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -156,6 +157,24 @@ class TestVerifyDepth:
         with pytest.raises(ValueError):
             verify_depth_comparison(TRIANGLE, 0, 1)
 
+    def test_each_power_takes_one_engine_call(self, monkeypatch):
+        # at m = 1 the lhs power I^(1) is also the row k m + j = 1
+        stability = importlib.import_module("symdepth.stability")
+        engine = stability.depth_via_takayama
+        powers = []
+
+        def counted(power, char=0):
+            powers.append(power)
+            return engine(power, char)
+
+        monkeypatch.setattr(stability, "depth_via_takayama", counted)
+        P4 = path(4)
+        result = verify_depth_comparison(P4, 1, 2)
+        assert powers == [P4.symbolic_power(t) for t in (1, 2, 3)]
+        assert result.comparisons == tuple(
+            {"m": 1, "k": 2, "j": j, "lhs": 2, "rhs": rhs, "ok": True}
+            for j, rhs in ((-1, 2), (0, 1), (1, 1)))
+
 
 class TestVerifySdepth:
     def test_triangle_passes(self):
@@ -169,6 +188,27 @@ class TestVerifySdepth:
         assert d["check"] == "sdepsym"
         assert d["result"] == "PASS"
         assert "counterexample" not in d
+
+    def test_each_power_takes_one_search_per_kind(self, monkeypatch):
+        stability = importlib.import_module("symdepth.stability")
+        search = stability.sdepth
+        calls = []
+
+        def counted(power, kind, node_budget):
+            calls.append((kind, power))
+            return search(power, kind, node_budget)
+
+        monkeypatch.setattr(stability, "sdepth", counted)
+        P5 = path(5)
+        result = verify_sdepth_comparison(P5, 1, 1)
+        assert calls == [(kind, P5.symbolic_power(t))
+                         for kind in ("ideal", "quotient") for t in (1, 2)]
+        assert result.comparisons == tuple(
+            {"kind": kind, "m": 1, "k": 1, "j": j, "lhs": lhs, "rhs": rhs,
+             "ok": True}
+            for kind, lhs, rhs_by_j in (("ideal", 4, (4, 3)),
+                                        ("quotient", 2, (2, 2)))
+            for j, rhs in zip((0, 1), rhs_by_j))
 
     def test_random_corpus_passes(self):
         rng = random.Random(53)
