@@ -326,13 +326,15 @@ def betti_table(ideal, char=0):
     complex is a cone.  The scan walks the box one coordinate at a time,
     in itertools.product order, and carries for each prefix the
     generators that still divide it (ANDs of divisor_masks' at_most
-    rows) split into groups with equal slack sets so far, as (members,
-    slack) bitmask pairs.  A prefix is dropped once no divisor is tight
-    at its last coordinate or every group's slack shares a bit: divisors
-    only shrink as the prefix grows, so each completion is void or a
-    cone.  At the last coordinate only the slack sets are kept: at a full
-    alpha they are the distinct slack sets of upper_koszul_complex, and
-    their maximal ones go straight to the homology memo.  check_box
+    rows) split into groups with equal slack sets so far, as a dict
+    {slack: members} of bitmasks.  Coordinate i splits a group into the
+    members tight there, keyed by its slack, and the loose ones, keyed by
+    slack | 1 << i; no earlier slack holds bit i, so the keys stay
+    distinct.  A prefix is dropped once no divisor is tight at its last
+    coordinate or every group's slack shares a bit: divisors only shrink
+    as the prefix grows, so each completion is void or a cone.  At a full
+    alpha the keys are the distinct slack sets of upper_koszul_complex,
+    and their maximal ones go straight to the homology memo.  check_box
     raises BudgetExceeded for a box of more than MAX_BOX_POINTS points
     before the walk."""
     check_char(char)
@@ -340,61 +342,40 @@ def betti_table(ideal, char=0):
         raise ValueError("Betti table of the zero module is undefined")
     n = ideal.n
     entries = {(0, (0,) * n): 1}
-    if not ideal.is_zero:
-        box = ideal.generator_degree_bounds()
-        check_box(box, "Betti lcm")
-        all_gens = (1 << len(ideal.gens)) - 1
-        cells = [((), all_gens, [(all_gens, 0)])]  # (prefix, divisors, groups)
-        *columns, last = zip(*divisor_masks(ideal.gens, box))
-        for i, rows in enumerate(columns):
-            bit = 1 << i
-            values = list(enumerate(zip(*rows)))  # v, (exactly, at_most)
-            grown = []
-            for alpha, divisors, groups in cells:
-                for v, (exact, at_most) in values:
-                    within = divisors & at_most
-                    tight = within & exact
-                    if not tight:
-                        continue  # void, or no divisor tight at i: a cone
-                    split = []
-                    common = -1  # the bits every slack set holds
-                    for members, slack in groups:
-                        members &= within
-                        if keep := members & tight:
-                            split.append((keep, slack))
-                            common &= slack
-                        if loose := members ^ keep:
-                            split.append((loose, slack | bit))
-                            common &= slack | bit
-                    if not common:
-                        grown.append((alpha + (v,), within, split))
-            cells = grown
-        # the last coordinate: the same split and drop test, keeping only
-        # the slack sets, whose maximal ones go straight to homology
-        bit = 1 << (n - 1)
-        values = list(enumerate(zip(*last)))
+    box = ideal.generator_degree_bounds()
+    check_box(box, "Betti lcm")
+    all_gens = (1 << len(ideal.gens)) - 1
+    cells = [((), all_gens, {0: all_gens})]  # (prefix, divisors, groups)
+    for i, rows in enumerate(zip(*divisor_masks(ideal.gens, box))):
+        bit = 1 << i
+        values = list(enumerate(zip(*rows)))  # v, (exactly, at_most)
+        grown = []
         for alpha, divisors, groups in cells:
             for v, (exact, at_most) in values:
                 within = divisors & at_most
                 tight = within & exact
                 if not tight:
-                    continue  # void, or no divisor tight at n - 1: a cone
-                slacks = []
+                    continue  # void, or no divisor tight at i: a cone
+                split = {}
                 common = -1  # the bits every slack set holds
-                for members, slack in groups:
+                for slack, members in groups.items():
                     members &= within
-                    if members & tight:
-                        slacks.append(slack)
+                    if keep := members & tight:
+                        split[slack] = keep
                         common &= slack
-                    if members & ~tight:
-                        slacks.append(slack | bit)
+                    if loose := members ^ keep:
+                        split[slack | bit] = loose
                         common &= slack | bit
                 if common:
                     continue
-                for h, dim in _homology_dims(_reduce_to_facets(slacks),
+                if i < n - 1:
+                    grown.append((alpha + (v,), within, split))
+                    continue
+                for h, dim in _homology_dims(_reduce_to_facets(split),
                                              char).items():
                     key = (h + 2, alpha + (v,))
                     entries[key] = entries.get(key, 0) + dim
+        cells = grown
     return BettiTable(
         n, tuple(sorted((i, a, v) for (i, a), v in entries.items()))
     )

@@ -8,7 +8,7 @@ import math
 import random
 from collections import namedtuple
 
-from .complexes import complex_of_ideal
+from .complexes import _bases_exchange, complex_of_ideal
 from .depth import depth, depth_via_takayama
 from .homology import check_char
 from .monomial import MonomialIdeal, pow_exp
@@ -148,7 +148,7 @@ def _certify(ideal, quantity, window_min):
     # `sequence` built I^(1), so I is squarefree, proper and nonzero, and
     # its complex contains the empty face
     if quantity in ("depth", "sdepth_quotient") and \
-            complex_of_ideal(ideal).is_matroid()[0]:
+            _bases_exchange(complex_of_ideal(ideal).facets):
         return True, "matroid"
     return False, None
 

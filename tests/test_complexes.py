@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, complex_of_ideal, zero_ideal
-from symdepth.complexes import _faces, homology_dims, mask_of, strong_core, vertices_of
+from symdepth.complexes import _bases_exchange, _faces, homology_dims, mask_of, strong_core, vertices_of
 from symdepth.homology import reduced_homology_from_faces
 from symdepth.monomial import support
 
@@ -189,6 +189,21 @@ class TestMatroid:
         assert not ok
         big, small = witness
         assert len(big) > len(small)
+
+    def test_bases_exchange_agrees_with_face_pairs(self):
+        def augmentation(delta):  # the independent-set axiom on all faces
+            faces = set(delta.face_masks())
+            return all(any(small | 1 << v in faces
+                           for v in vertices_of(big & ~small))
+                       for big in faces for small in faces
+                       if big.bit_count() > small.bit_count())
+
+        complexes = complex_corpus() + [cx(6, RP2_FACETS)]
+        verdicts = [_bases_exchange(delta.facets) for delta in complexes]
+        assert verdicts == [augmentation(delta) for delta in complexes]
+        assert verdicts == [delta.is_matroid()[0] for delta in complexes]
+        assert 0 < sum(verdicts) < len(complexes)
+        assert not verdicts[-1]  # RP^2
 
     def test_matroids_are_pure_and_vertex_decomposable(self):
         rng = random.Random(23)

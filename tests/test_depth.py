@@ -136,6 +136,11 @@ class TestBettiTable:
         table = betti_table(ideal(gens, n))
         assert table.total() == {i: comb(n, i) for i in range(n + 1)}
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_ideal(self, n):
+        # no generator is tight anywhere, so the walk adds nothing
+        assert betti_table(zero_ideal(n)).entries == ((0, (0,) * n, 1),)
+
     def test_box_limit(self):
         # (x1^a): the lcm box has a + 1 points, the same limit as sdepth's
         at_limit = MonomialIdeal(1, ((MAX_BOX_POINTS - 1,),))
@@ -253,6 +258,15 @@ class TestBettiScanReference:
             I = ideal(gens, n)
             if I.is_unit:
                 continue
+            for char in (0, 2, 3):
+                table = betti_table(I, char)
+                assert table == reference_betti_table(I, char)
+                assert table == reference_lattice_betti_table(I, char)
+
+    def test_one_variable_ideals(self):
+        # (x^a): the first coordinate is also the last
+        for a in range(1, 5):
+            I = MonomialIdeal(1, ((a,),))
             for char in (0, 2, 3):
                 table = betti_table(I, char)
                 assert table == reference_betti_table(I, char)

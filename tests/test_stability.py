@@ -76,6 +76,18 @@ class TestAnalyze:
         assert report.ell_s_estimate == 2
         assert "for all k >= 1" in report.tail_guarantee
 
+    def test_matroid_rule_reads_only_the_facets(self, monkeypatch):
+        # (x1, ..., x4) in 20 variables: one facet, 2^16 faces
+        def no_faces(self):
+            raise AssertionError("the matroid rule enumerated faces")
+
+        monkeypatch.setattr(SimplicialComplex, "face_masks", no_faces)
+        I = ideal([tuple(int(i == j) for i in range(20)) for j in range(4)],
+                  20)
+        report = analyze_stability(I, "depth", 1, engine="takayama")
+        assert report.values == (16,)
+        assert report.certification_rule == "matroid"
+
     def test_floor_certified(self):
         report = analyze_stability(MAXIMAL3, "depth", 2)
         assert report.window_min == 0
