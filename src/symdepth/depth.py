@@ -218,41 +218,69 @@ def depth_via_takayama(ideal, char=0):
     (Taylor's resolution), so the scan stops at the first that reaches
     either.  Cosupports that miss a free variable (one in no generator)
     are skipped: every complex there is a cone or void.  When I is an
-    intersection of prime powers, so is a G with a vertex outside it in no
-    live prime (one missing G), and any other G takes one multidegree per
-    set of short primes, with index min(dims) + |G| + 1.  Otherwise,
-    principal ideals included, each alpha_plus takes the Alexander dual of
-    its complex, with index n - 2 - max(dims).
-
-    On the prime-power path a witness of index b leaves a G of size c
-    only homology in degree <= b - c - 2 to beat it.  Degree -1 is the
-    complex {emptyset}, met only at alpha = 0 where V - G is a minimal
-    prime P.  At alpha = 0 the complex is the link of G in the complex
-    whose facets are the V - Q, Q a minimal prime.  If some Q is not P,
-    the largest meet H of the facet G with another facet has a
-    disconnected link, so the smaller cosupport H, scanned first, has
-    index |H| + 1 <= c; if P is the only prime, every other complex is
-    a simplex or void.  So no G of size c beats an index c + 1, and the
-    scan ends there, a level before the general rule.  At b = c + 2 only
-    degree 0 can win: _disconnected picks, without ranks, the complexes
-    that go to homology."""
+    intersection of prime powers, _prime_power_depth scans it from its
+    primes and k.  Otherwise, principal ideals included, each alpha_plus
+    takes the Alexander dual of its complex, with index n - 2 - max(dims)."""
     check_char(char)
     if ideal.is_unit:
         raise ValueError("depth of the zero module is undefined")
     n = ideal.n
     if ideal.is_zero:
         return DepthWitness(depth=n, engine="takayama", char=char)
-
-    rho = ideal.generator_degree_bounds()
     # the prime-power walk would take a principal ideal's simplex boundary
     structure = ideal.prime_structure() if len(ideal.gens) > 1 else None
     if structure is not None:
-        primes, k = structure
-        prime_masks = [mask_of(p) for p in primes]
-        full = (1 << n) - 1
-    # an index of at most |G| + margin is the depth (see the docstring)
-    margin = 0 if structure is None else 1
+        return _prime_power_depth(n, *structure, char)
+    rho = ideal.generator_degree_bounds()
+    complexes = functools.partial(_generic_complexes, ideal, rho)
+    return _takayama_scan(n, rho, char, complexes, 0, n - len(ideal.gens))
 
+
+def _prime_power_depth(n, primes, k, char):
+    """The Takayama witness of S/I, I the intersection of the k-th powers
+    of the primes (variable sets, none in another), never building I.
+
+    Its box corner is k on the variables of the primes, 0 elsewhere: no
+    minimal generator has u_i > k, or u_i > 0 off the primes, as lowering
+    u_i keeps every sum >= k.  For j in a prime P, take a minimal
+    transversal T of the nonempty sets Q - P, Q a prime without j, and
+    u = k e_j + k 1_T, in I as each prime holds j or meets T.  P sums to
+    k, as T misses P, and so does a prime Q without j with Q & T = {t},
+    for each t in T: each variable of u is in a tight prime, so u is a
+    minimal generator, with u_j = k.
+
+    A cosupport G with a vertex outside it in no live prime (one missing
+    G) has only cones and void complexes; any other G takes one
+    multidegree per set of short primes, with index min(dims) + |G| + 1.
+    A witness of index b leaves a G of size c only homology in degree
+    <= b - c - 2 to beat it.  Degree -1 is the complex {emptyset}, met
+    only at alpha = 0 where V - G is a minimal prime P.  At alpha = 0 the
+    complex is the link of G in the complex whose facets are the V - Q,
+    Q a minimal prime.  If some Q is not P, the largest meet H of the
+    facet G with another facet has a disconnected link, so the smaller
+    cosupport H, scanned first, has index |H| + 1 <= c; if P is the only
+    prime, every other complex is a simplex or void.  So no G of size c
+    beats an index c + 1, and the scan ends there, a level before the
+    general rule.  At b = c + 2 only degree 0 can win: _disconnected
+    picks, without ranks, the complexes that go to homology.  No Taylor
+    exit: it needs mu(I) and never changes the witness."""
+    masks = [mask_of(p) for p in primes]
+    rho = tuple(k * any(j in p for p in primes) for j in range(n))
+
+    def complexes(cosupport):
+        cos_mask = mask_of(cosupport)
+        reach = functools.reduce(
+            operator.or_, (p for p in masks if not p & cos_mask), cos_mask)
+        if reach != (1 << n) - 1:
+            return ()  # a vertex in no live prime: cones or void
+        return _prime_power_complexes(masks, k, rho, cos_mask)
+
+    return _takayama_scan(n, rho, char, complexes, 1)
+
+
+def _takayama_scan(n, rho, char, complexes, margin, taylor=None):
+    """The first (alpha, facets) of complexes(G) of least index, G by size
+    then lex.  The scan ends at an index <= |G| + margin, or at taylor."""
     # A free variable (in no generator) lies in every facet at a cosupport
     # that misses it, so only cosupports holding every free variable are
     # scanned.  Adding a fixed disjoint set keeps the lex order of the
@@ -265,32 +293,18 @@ def depth_via_takayama(ideal, char=0):
             return best
         for rest in itertools.combinations(others, csize - len(free)):
             cosupport = tuple(sorted(rest + free))
-            if structure is None:
-                complexes = _generic_complexes(ideal, rho, cosupport)
-            else:
-                cos_mask = mask_of(cosupport)
-                reach = 0
-                for p in prime_masks:
-                    if not p & cos_mask:
-                        reach |= p
-                if full & ~cos_mask & ~reach:
-                    continue  # a vertex in no live prime: cones or void
-                complexes = _prime_power_complexes(
-                    prime_masks, k, rho, cos_mask
-                )
-            for alpha, facets in complexes:
+            for alpha, facets in complexes(cosupport):
                 if margin and best is not None and \
                         best.depth == csize + 2 and not _disconnected(facets):
                     continue  # no homology in degree 0 or below
                 dims = _homology_dims(facets, char)
                 if not dims:
                     continue
-                i = (n - 2 - max(dims) if structure is None
-                     else min(dims) + csize + 1)
+                i = min(dims) + csize + 1 if margin else n - 2 - max(dims)
                 if best is None or i < best.depth:
                     best = DepthWitness(i, "takayama", char, alpha, cosupport,
                                         i - csize - 1)
-                    if i <= csize + margin or i == n - len(ideal.gens):
+                    if i <= csize + margin or i == taylor:
                         return best  # no index ahead is smaller
     # at csize = n every complex is void, so a witness has returned above
     raise RuntimeError("no nonvanishing cohomology found; search box bug")
@@ -409,14 +423,28 @@ def depth(ideal, engine="cross_check", char=0):
     """Depth of S/I with the chosen engine; ``cross_check`` runs both and
     raises EngineDisagreement when the values differ."""
     check_char(char)
-    if engine == "takayama":
-        return depth_via_takayama(ideal, char)
-    if engine == "betti":
-        return depth_via_betti(ideal, char)
-    if engine == "cross_check":
-        a = depth_via_takayama(ideal, char)
-        b = depth_via_betti(ideal, char)
-        if a.depth != b.depth:
-            raise EngineDisagreement(a, b)
-        return a
-    raise ValueError(f"unknown depth engine {engine!r}")
+    return _run_engine(engine, lambda: depth_via_takayama(ideal, char),
+                       lambda: depth_via_betti(ideal, char))
+
+
+def _symbolic_depth(ideal, k, engine, char):
+    """depth(I^(k), engine, char), I squarefree: Takayama reads I^(k) off
+    the minimal primes of I and k; Betti, and a principal I, fold it."""
+    if len(ideal.gens) == 1:
+        return depth(ideal.symbolic_power(k), engine, char)
+    primes = ideal.minimal_primes()
+    check_char(char)
+    return _run_engine(
+        engine, lambda: _prime_power_depth(ideal.n, primes, k, char),
+        lambda: depth_via_betti(ideal.symbolic_power(k), char))
+
+
+def _run_engine(engine, takayama, betti):
+    """The witness of the named engine, each engine given as a thunk."""
+    if engine not in ("takayama", "betti", "cross_check"):
+        raise ValueError(f"unknown depth engine {engine!r}")
+    a = None if engine == "betti" else takayama()
+    b = None if engine == "takayama" else betti()
+    if a and b and a.depth != b.depth:
+        raise EngineDisagreement(a, b)
+    return a or b

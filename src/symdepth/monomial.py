@@ -227,6 +227,8 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
         to exactly k over each P: read k off primes[0], compare generators."""
         if self.is_zero or self.is_unit:
             return None
+        if self.is_squarefree:  # I is the intersection of its primes
+            return self.minimal_primes(), 1
         radical = [tuple(min(a, 1) for a in g) for g in self.gens]
         primes = MonomialIdeal.from_generators(radical, self.n).minimal_primes()
         k = min(sum(g[i] for i in primes[0]) for g in self.gens)

@@ -9,7 +9,7 @@ import random
 from collections import namedtuple
 
 from .complexes import _bases_exchange, complex_of_ideal
-from .depth import depth, depth_via_takayama
+from .depth import _symbolic_depth
 from .homology import check_char
 from .monomial import MonomialIdeal, pow_exp
 from .sdepth import (DEFAULT_NODE_BUDGET, INFINITY, json_value, sdepth,
@@ -67,11 +67,10 @@ class MatroidReport(namedtuple(
 
 
 def _value_at(ideal, k, quantity, engine, char, node_budget):
-    power = ideal.symbolic_power(k)
     if quantity == "depth":
-        return depth(power, engine, char).depth
+        return _symbolic_depth(ideal, k, engine, char).depth
     kind = "ideal" if quantity == "sdepth_ideal" else "quotient"
-    return sdepth(power, kind, node_budget).value
+    return sdepth(ideal.symbolic_power(k), kind, node_budget).value
 
 
 def sequence(ideal, quantity, kmax, engine="cross_check", char=0,
@@ -145,8 +144,8 @@ def _certify(ideal, quantity, window_min):
         # symbolic powers of a principal ideal are its ordinary powers;
         # depth is constant and a principal ideal is one Stanley space
         return True, "principal"
-    # `sequence` built I^(1), so I is squarefree, proper and nonzero, and
-    # its complex contains the empty face
+    # `sequence` took I^(1) or the minimal primes of I, so I is
+    # squarefree, proper and nonzero, and its complex holds the empty face
     if quantity in ("depth", "sdepth_quotient") and \
             _bases_exchange(complex_of_ideal(ideal).facets):
         return True, "matroid"
@@ -169,8 +168,8 @@ def _check(name, ideal, rows, details=None):
 
 
 def _compare_powers(name, ideal, m, k, kinds, value):
-    """value(kind, I^(m)) >= value(kind, I^(km+j)) for each kind and all
-    admissible j; a kind of None puts no "kind" key in the rows."""
+    """value(kind, t) at t = m is >= its value at t = km+j, for each kind
+    and all admissible j; a kind of None puts no "kind" key in the rows."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     js = _admissible_j(m, k)
@@ -178,7 +177,7 @@ def _compare_powers(name, ideal, m, k, kinds, value):
     for kind in kinds:
         # each distinct power once, in increasing order: at m = 1 the lhs
         # power I^(1) is also the row k * m + j = 1
-        values = {t: value(kind, ideal.symbolic_power(t))
+        values = {t: value(kind, t)
                   for t in dict.fromkeys([m] + [k * m + j for j in js])}
         lhs = values[m]
         for j in js:
@@ -193,14 +192,15 @@ def verify_depth_comparison(ideal, m, k, char=0):
     """Takayama depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
     return _compare_powers(
         "depsym", ideal, m, k, (None,),
-        lambda _, power: depth_via_takayama(power, char).depth)
+        lambda _, t: _symbolic_depth(ideal, t, "takayama", char).depth)
 
 
 def verify_sdepth_comparison(ideal, m, k, node_budget=DEFAULT_NODE_BUDGET):
     """sdepth(I^(m)) >= sdepth(I^(km+j)) and the quotient analogue."""
     return _compare_powers(
         "sdepsym", ideal, m, k, ("ideal", "quotient"),
-        lambda kind, power: sdepth(power, kind, node_budget).value)
+        lambda kind, t: sdepth(ideal.symbolic_power(t), kind,
+                               node_budget).value)
 
 
 def verify_power_membership(ideal, m, k, samples=100, seed=0):

@@ -307,6 +307,35 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["result"] == "PASS"
 
+    @pytest.mark.parametrize("command, options", [
+        (["verify", "depsym"], ["-m", "1", "-k", "2"]),
+        (["sequence"], ["--quantity", "depth", "--kmax", "3",
+                        "--engine", "takayama"]),
+    ])
+    def test_takayama_drivers_fold_no_power(self, tmp_path, capsys,
+                                            monkeypatch, command, options):
+        # the fold runs only at k = 1, for minimal primes: I^(2) and I^(3)
+        # are read off those and k
+        monomial = importlib.import_module("symdepth.monomial")
+        complexes = importlib.import_module("symdepth.complexes")
+        fold = monomial._symbolic_power_cached
+        folded = []
+
+        def counted(n, primes, k):
+            folded.append(k)
+            return fold(n, primes, k)
+
+        for module in (monomial, complexes):
+            monkeypatch.setattr(module, "_symbolic_power_cached", counted)
+        path = tmp_path / "c7.json"
+        path.write_text(json.dumps(formats.ideal_to_json(cycle(7))))
+        code, out, _ = run(capsys, [*command, str(path), *options])
+        assert code == 0
+        assert set(folded) <= {1}
+        values = json.loads(out).get("values") or [
+            row["rhs"] for row in json.loads(out)["comparisons"]]
+        assert values == [2, 2, 2]
+
     def test_sdepsym_pass(self, triangle_file, capsys):
         code, out, _ = run(capsys, [
             "verify", "sdepsym", triangle_file, "-m", "1", "-k", "2",
@@ -378,7 +407,7 @@ class TestVerifyCommands:
     def test_depsym_counterexample(self, triangle_file, capsys, monkeypatch):
         # depth S/I^(m) = 0 against depth 1 at every higher power
         monkeypatch.setattr(
-            "symdepth.stability.depth_via_takayama", first_call_then(
+            "symdepth.stability._symbolic_depth", first_call_then(
                 DepthWitness(0, "takayama", 0), DepthWitness(1, "takayama", 0)))
         assert self._counterexample(capsys, [
             "verify", "depsym", triangle_file, "-m", "2", "-k", "1",

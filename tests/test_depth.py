@@ -953,6 +953,82 @@ class TestTakayamaBoxScanReference:
         assert cosupports == [mask_of(range(3, 40))]
 
 
+class TestSymbolicDepth:
+    """The private front end for depth S/I^(k): the Takayama engine reads
+    I^(k) off the minimal primes of I and k, and finds the witness that
+    depth_via_takayama finds on the folded power."""
+
+    @staticmethod
+    def _assert_same(I, k, char):
+        engine = importlib.import_module("symdepth.depth")
+        # every field: depth, alpha_plus, cosupport, homology_index
+        assert engine._symbolic_depth(I, k, "takayama", char) == \
+            depth_via_takayama(I.symbolic_power(k), char)
+
+    def test_corpus_in_characteristics_0_and_2(self):
+        for I in corpus()[:120]:
+            for k in (1, 2, 3):
+                for char in (0, 2):
+                    self._assert_same(I, k, char)
+
+    @pytest.mark.parametrize("graph, sizes, kmax", [
+        (cycle, range(4, 11), 2), (path, range(4, 8), 3),
+    ])
+    def test_cycles_and_paths(self, graph, sizes, kmax):
+        for n in sizes:
+            for k in range(1, kmax + 1):
+                self._assert_same(graph(n), k, 0)
+
+    def test_takayama_builds_no_power(self, monkeypatch):
+        engine = importlib.import_module("symdepth.depth")
+        I = cycle(8)
+        expected = depth_via_takayama(I.symbolic_power(3))
+
+        def refuse(*args):
+            raise AssertionError("symbolic power built")
+
+        monkeypatch.setattr(MonomialIdeal, "symbolic_power", refuse)
+        monkeypatch.setattr(MonomialIdeal, "prime_structure", refuse)
+        assert engine._symbolic_depth(I, 3, "takayama", 0) == expected
+
+    @pytest.mark.parametrize("engine_name",
+                             ["takayama", "betti", "cross_check"])
+    def test_principal_ideals_take_the_fold(self, monkeypatch, engine_name):
+        engine = importlib.import_module("symdepth.depth")
+        fold = MonomialIdeal.symbolic_power
+        built = []
+
+        def counted(self, k):
+            built.append(k)
+            return fold(self, k)
+
+        def refuse(*args):
+            raise AssertionError("prime-power scan of a principal ideal")
+
+        monkeypatch.setattr(MonomialIdeal, "symbolic_power", counted)
+        monkeypatch.setattr(engine, "_prime_power_depth", refuse)
+        I = ideal([(1, 1, 0, 1)], 4)
+        for k in (1, 2, 3):
+            assert engine._symbolic_depth(I, k, engine_name, 0) == \
+                depth(fold(I, k), engine_name, 0)
+        assert built == [1, 2, 3]
+
+    def test_disagreement_and_bad_arguments(self, monkeypatch):
+        engine = importlib.import_module("symdepth.depth")
+        with pytest.raises(ValueError, match="unknown depth engine"):
+            engine._symbolic_depth(TRIANGLE, 2, "fastest", 0)
+        with pytest.raises(ValueError, match="characteristic"):
+            engine._symbolic_depth(TRIANGLE, 2, "takayama", 4)
+        with pytest.raises(ValueError, match="squarefree"):
+            engine._symbolic_depth(ideal([(2, 0), (0, 1)], 2), 2,
+                                   "takayama", 4)
+        betti = DepthWitness(3, "betti", 0, betti_index=0,
+                             betti_degree=(0, 0, 0))
+        monkeypatch.setattr(engine, "depth_via_betti", lambda J, char: betti)
+        with pytest.raises(EngineDisagreement):
+            engine._symbolic_depth(TRIANGLE, 2, "cross_check", 0)
+
+
 def _uncovered(prime_masks, n, cos_mask):
     """Whether a vertex outside the cosupport lies in no prime missing it."""
     reach = 0

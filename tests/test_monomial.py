@@ -27,6 +27,7 @@ from _corpus import (
     corpus,
     cycle,
     non_squarefree_corpus,
+    path,
     random_monomial,
     random_squarefree_ideal,
 )
@@ -486,6 +487,46 @@ class TestPrimeStructure:
                 primes, k = structure
                 assert prime_power_fold(primes, k, J.n) == J
         assert 0 < found < len(ideals)
+
+
+    def test_squarefree_ideals_skip_the_radical_and_the_fold(
+            self, monkeypatch):
+        # a squarefree I is the intersection of its minimal primes; the
+        # answer is the one the radical and the k = 1 fold give
+        monomial = importlib.import_module("symdepth.monomial")
+        ideals = corpus() + [cycle(n) for n in range(4, 11)]
+        expected = []
+        for I in ideals:
+            radical = ideal([tuple(min(a, 1) for a in g) for g in I.gens], I.n)
+            primes = radical.minimal_primes()
+            k = min(sum(g[i] for i in primes[0]) for g in I.gens)
+            same = _symbolic_power_cached(I.n, primes, k).gens == I.gens
+            expected.append((primes, k) if same else None)
+
+        def refuse(*args):
+            raise AssertionError("radical or fold built")
+
+        monkeypatch.setattr(monomial, "_symbolic_power_cached", refuse)
+        monkeypatch.setattr(MonomialIdeal, "from_generators", refuse)
+        assert [I.prime_structure() for I in ideals] == expected
+        assert all(e == (I.minimal_primes(), 1)
+                   for I, e in zip(ideals, expected))
+
+
+class TestSymbolicPowerBoxCorner:
+    """The exponent box of I^(k), for a squarefree I, has corner k on the
+    support of I and 0 elsewhere; the Takayama engine reads it off the
+    minimal primes and k."""
+
+    def test_corner_is_k_on_the_support(self):
+        cases = [(I, k) for I in corpus() for k in range(1, 5)]
+        cases += [(graph(n), k) for graph, sizes in
+                  ((cycle, range(4, 11)), (path, range(4, 8)))
+                  for n in sizes for k in range(1, 4)]
+        for I, k in cases:
+            used = {i for g in I.gens for i, a in enumerate(g) if a}
+            assert I.symbolic_power(k).generator_degree_bounds() == \
+                tuple(k if i in used else 0 for i in range(I.n))
 
 
 class TestSymbolicContains:

@@ -8,6 +8,7 @@ from symdepth import (
     MonomialIdeal,
     SimplicialComplex,
     analyze_stability,
+    depth,
     matroid_report,
     sequence,
     verify_colon_identity,
@@ -18,7 +19,7 @@ from symdepth import (
 )
 
 from symdepth.stability import _bight_bound
-from _corpus import path, random_squarefree_ideal
+from _corpus import corpus, cycle, path, random_squarefree_ideal
 
 
 def ideal(gens, n):
@@ -63,6 +64,23 @@ class TestSequence:
         d = sequence(TRIANGLE, "depth", 2).to_dict()
         assert d == {"quantity": "depth", "kmax": 2, "values": [1, 1],
                      "char": 0, "engine": "cross_check"}
+
+
+class TestDepthValuesOfEachEngine:
+    """sequence and analyze read depth S/I^(k) off the minimal primes on
+    the Takayama path; their values are depth on the folded powers."""
+
+    @pytest.mark.parametrize("engine", ["takayama", "betti", "cross_check"])
+    def test_values_equal_depth_of_the_folded_powers(self, engine):
+        ideals = corpus()[:40] + [cycle(6), path(6), ideal([(1, 0, 1)], 3)]
+        for I in ideals:
+            for char in (0, 2):
+                expected = tuple(depth(I.symbolic_power(k), engine, char).depth
+                                 for k in (1, 2, 3))
+                assert sequence(I, "depth", 3, engine, char).values == \
+                    expected
+                report = analyze_stability(I, "depth", 3, engine, char)
+                assert report.values == expected
 
 
 class TestAnalyze:
@@ -172,17 +190,17 @@ class TestVerifyDepth:
     def test_each_power_takes_one_engine_call(self, monkeypatch):
         # at m = 1 the lhs power I^(1) is also the row k m + j = 1
         stability = importlib.import_module("symdepth.stability")
-        engine = stability.depth_via_takayama
+        engine = stability._symbolic_depth
         powers = []
 
-        def counted(power, char=0):
-            powers.append(power)
-            return engine(power, char)
+        def counted(ideal, k, engine_name, char):
+            powers.append((ideal, k, engine_name))
+            return engine(ideal, k, engine_name, char)
 
-        monkeypatch.setattr(stability, "depth_via_takayama", counted)
+        monkeypatch.setattr(stability, "_symbolic_depth", counted)
         P4 = path(4)
         result = verify_depth_comparison(P4, 1, 2)
-        assert powers == [P4.symbolic_power(t) for t in (1, 2, 3)]
+        assert powers == [(P4, t, "takayama") for t in (1, 2, 3)]
         assert result.comparisons == tuple(
             {"m": 1, "k": 2, "j": j, "lhs": 2, "rhs": rhs, "ok": True}
             for j, rhs in ((-1, 2), (0, 1), (1, 1)))
