@@ -27,7 +27,6 @@ from .sdepth import (
     characteristic_poset,
     sdepth,
     sdepth_at_least,
-    sdepth_from_poset,
     split_by_variable,
 )
 from .stability import (
@@ -48,4 +47,4 @@ from .stability import (
 # the re-exported names, not the submodules the imports above bind
 __all__ = sorted(name for name, value in globals().items() if not (
     name.startswith("_") or isinstance(value, _types.ModuleType)))
-__version__ = "0.2.0"
+__version__ = "0.3.0"

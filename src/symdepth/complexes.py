@@ -202,18 +202,18 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
     def is_matroid(self):
         """Exchange-axiom check; returns (True, None) or (False, (F, G))
         with a violating pair of faces, searched in order once the facets
-        fail basis exchange."""
+        fail basis exchange.  Basis exchange holds exactly for a matroid,
+        so the search always finds a pair."""
         self._require_not_void()
         if _bases_exchange(self.facets):
             return True, None
         faces = sorted(self.face_masks(), key=_facet_key)
         face_set = set(faces)
-        for big, small in itertools.product(faces, faces):
-            if big.bit_count() <= small.bit_count():
-                continue
-            if not _has_exchange(small, big & ~small, face_set):
-                return False, (vertices_of(big), vertices_of(small))
-        return True, None
+        big, small = next(
+            (big, small) for big, small in itertools.product(faces, faces)
+            if big.bit_count() > small.bit_count()
+            and not _has_exchange(small, big & ~small, face_set))
+        return False, (vertices_of(big), vertices_of(small))
 
     def is_vertex_decomposable(self):
         self._require_not_void()

@@ -92,14 +92,12 @@ def _rho(b, g):
     return sum(map(operator.eq, b, g))
 
 
-def characteristic_poset(ideal, kind, g=None):
+def characteristic_poset(ideal, kind):
     """Exponent vectors inside the generator-degree box that lie in the
     ideal (kind="ideal") or outside it (kind="quotient").
 
-    ``g`` overrides the box corner (must dominate the default corner);
-    enlarging the box never changes the computed Stanley depth.  A box of
-    more than MAX_BOX_POINTS points raises BudgetExceeded before any
-    point is made.  The points are those that monomial.box_divisors
+    A box of more than MAX_BOX_POINTS points raises BudgetExceeded before
+    any point is made.  The points are those that monomial.box_divisors
     gives with a dividing generator (kind="ideal") or with none.
     """
     if kind not in ("ideal", "quotient"):
@@ -108,13 +106,7 @@ def characteristic_poset(ideal, kind, g=None):
         raise ValueError("the zero ideal has an empty characteristic poset")
     if kind == "quotient" and ideal.is_unit:
         raise ValueError("the quotient by the unit ideal is the zero module")
-    default = ideal.generator_degree_bounds()
-    if g is None:
-        g = default
-    else:
-        g = tuple(g)
-        if len(g) != ideal.n or any(a < b for a, b in zip(g, default)):
-            raise ValueError(f"box corner {g} must dominate {default}")
+    g = ideal.generator_degree_bounds()
     inside = kind == "ideal"
     points = [c for c, m in box_divisors(ideal.gens, g, "characteristic poset")
               if (m != 0) == inside]
@@ -264,7 +256,14 @@ def counting_bound(poset):
 
 
 def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
-    """Exact Stanley depth of the ideal or of its quotient module.
+    """Exact Stanley depth of the ideal or of its quotient module: the best
+    worst interval dimension over all partitions of its characteristic
+    poset.
+
+    The levels from the counting bound down are searched with one node
+    budget.  Where it runs out at level s, every level above s has failed
+    or lies above the bound, so a splitting witness at s, found with a
+    second budget of the same size, still decides the value.
 
     Conventions: the zero module (zero ideal as a module, or S/S) has
     Stanley depth infinity; S over itself and S/0 have Stanley depth n.
@@ -273,32 +272,23 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
     if (kind == "ideal" and ideal.is_zero
             or kind == "quotient" and ideal.is_unit):
         return SdepthResult(kind, INFINITY)
-    return sdepth_from_poset(characteristic_poset(ideal, kind), node_budget)
-
-
-def sdepth_from_poset(poset, node_budget=DEFAULT_NODE_BUDGET):
-    """Best worst interval dimension over all partitions of the poset.
-
-    The levels from the counting bound down are searched with one node
-    budget.  Where it runs out at level s, every level above s has failed
-    or lies above the bound, so a splitting witness at s, found with a
-    second budget of the same size, still decides the value."""
+    poset = characteristic_poset(ideal, kind)
     budget = _Budget(node_budget)
     for s in range(counting_bound(poset), -1, -1):  # singletons cover at 0
         try:
             witness = sdepth_at_least(poset, s, budget)
         except BudgetExceeded:
-            witness = splitting_witness(poset, s, node_budget)
+            witness = splitting_witness(ideal, poset, s, node_budget)
             if witness is None:
                 raise
         if witness is not None:
-            return SdepthResult(poset.kind, s, poset.g, witness)
+            return SdepthResult(kind, s, poset.g, witness)
 
 
-def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
-    """An interval partition of the poset with every top rank >= s, built
-    by splitting its module along the variables, or None if none was
-    found within the node budget.
+def splitting_witness(ideal, poset, s, node_budget=DEFAULT_NODE_BUDGET):
+    """An interval partition of the ideal's characteristic poset with
+    every top rank >= s, built by splitting its module along the
+    variables, or None if none was found within the node budget.
 
     Along x_i the monomials of I (or outside I) are those of the part
     without x_i, an ideal in n - 1 variables, and x_i times those of
@@ -345,8 +335,7 @@ def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
             for e, z in _stanley_spaces(iv, part.g)]
 
     try:
-        spaces = split(MonomialIdeal.from_generators(
-            _minimal_generators(poset), poset.n))
+        spaces = split(ideal)
     except BudgetExceeded:
         return None
     if spaces is None:
@@ -361,19 +350,6 @@ def splitting_witness(poset, s, node_budget=DEFAULT_NODE_BUDGET):
         raise RuntimeError("splitting produced no interval partition of the "
                            "poset")
     return witness
-
-
-def _minimal_generators(poset):
-    """The minimal points of the box [0, g] that lie in the ideal: the
-    minimal poset points, or for a quotient poset the points one step above
-    a poset point that lie outside it with every lower neighbour inside."""
-    points, inside = set(poset.points), poset.kind == "ideal"
-    candidates = points if inside else {
-        c[:i] + (x + 1,) + c[i + 1:]
-        for c in points for i, x in enumerate(c) if x < poset.g[i]} - points
-    return [c for c in candidates if all(
-        (c[:i] + (x - 1,) + c[i + 1:] in points) != inside
-        for i, x in enumerate(c) if x)]
 
 
 def _stanley_spaces(interval, g):

@@ -125,14 +125,8 @@ def analyze_stability(ideal, quantity, kmax, engine="cross_check", char=0,
 
 
 def _bight_bound(n, bight):
-    """n (n + 1) bight^(n/2) as a float, or its exact integer ceiling where
-    the float would overflow."""
-    try:
-        bound = n * (n + 1) * bight ** (n / 2)
-    except OverflowError:
-        bound = math.inf
-    if math.isfinite(bound):
-        return bound
+    """The exact integer ceiling of n (n + 1) bight^(n/2): the least b with
+    b^2 >= (n (n + 1))^2 bight^n."""
     return math.isqrt((n * (n + 1)) ** 2 * bight ** n - 1) + 1
 
 

@@ -1,13 +1,15 @@
 """Reference definitions the tests compare the library against: ideal
 membership after localization, intersection through lcms, purity and
-face counts of a complex, and the text and JSON writers whose readers
-the library has.  Each is the plain definition, not a fast path."""
+face counts of a complex, the text and JSON writers whose readers the
+library has, polarization, and the characteristic poset over a box
+larger than the generators' with its Stanley depth.  Each is the plain
+definition, not a fast path."""
 
 from collections import Counter
 
-from symdepth import MonomialIdeal
+from symdepth import CharacteristicPoset, MonomialIdeal, sdepth_at_least
 from symdepth.complexes import vertices_of
-from symdepth.monomial import check_exponents
+from symdepth.monomial import box_divisors, check_exponents, grlex_key
 
 
 def lcm_exp(u, v):
@@ -66,3 +68,29 @@ def complex_to_json(delta):
         "n": delta.n,
         "facets": [[v + 1 for v in vertices_of(f)] for f in delta.facets],
     }
+
+
+def polarize(ideal):
+    """The polarization of a nonzero ideal, a squarefree ideal in more
+    variables: coordinate i becomes max(1, g_i) variables, g the generator
+    degree bounds, and x_i^a the product of the first a of them."""
+    widths = [max(1, b) for b in ideal.generator_degree_bounds()]
+    gens = [sum(((1,) * a + (0,) * (w - a) for a, w in zip(u, widths)), ())
+            for u in ideal.gens]
+    return MonomialIdeal.from_generators(gens, sum(widths))
+
+
+def enlarged_poset(ideal, kind, g):
+    """The characteristic poset of the ideal over the box [0, g], which
+    must hold every generator: the points that monomial.box_divisors gives
+    with a dividing generator (kind="ideal") or with none, in grlex order."""
+    points = sorted((c for c, m in box_divisors(ideal.gens, g, "enlarged")
+                     if (m != 0) == (kind == "ideal")), key=grlex_key)
+    return CharacteristicPoset(ideal.n, tuple(g), tuple(points), kind)
+
+
+def poset_sdepth(poset):
+    """The first level s = n, n - 1, ..., 0 at which sdepth_at_least finds
+    an interval partition of the poset."""
+    return next(s for s in range(poset.n, -1, -1)
+                if sdepth_at_least(poset, s) is not None)

@@ -15,6 +15,7 @@ from symdepth import (
     depth,
     depth_via_betti,
     depth_via_takayama,
+    sequence,
     takayama_complex,
     unit_ideal,
     upper_koszul_complex,
@@ -43,7 +44,7 @@ from _corpus import (
     random_monomial,
     random_squarefree_ideal,
 )
-from _reference import lcm_exp, localized_contains
+from _reference import lcm_exp, localized_contains, polarize
 
 
 def ideal(gens, n):
@@ -411,6 +412,41 @@ class TestMetamorphic:
                 assert list(betti_table(G).entries) == padded
                 for engine in ("takayama", "betti"):
                     assert depth(G, engine).depth == depth(J, engine).depth + 1
+
+
+def complete_intersection(d):
+    """(x1 y1, ..., xd yd) in 2d variables, x_i and y_i adjacent."""
+    return ideal([tuple(int(j // 2 == i) for j in range(2 * d))
+                  for i in range(d)], 2 * d)
+
+
+class TestKnownAnswers:
+    """Relations with a theorem behind them, a third oracle beside the two
+    engines."""
+
+    def test_polarization_keeps_the_projective_dimension(self):
+        # depth S/I = depth S'/I^pol - (n' - n): I^(2) and the
+        # non-squarefree inputs take the prime-power or the generic path,
+        # their squarefree polarizations the k = 1 path
+        inputs = ([I.symbolic_power(2) for I in corpus()[:40]]
+                  + non_squarefree_corpus()[:30])
+        for J in inputs:
+            P = polarize(J)
+            assert P.is_squarefree and P.n >= J.n
+            for engine in ("takayama", "betti"):
+                assert depth(P, engine).depth - (P.n - J.n) == \
+                    depth(J, engine).depth, (J, engine)
+
+    def test_complete_intersections_are_cohen_macaulay(self):
+        # I^(k) = I^k, and S/I^k is Cohen-Macaulay of dimension d for
+        # every k; the Betti lcm box of d = 4, k = 3 is past the box limit
+        for d, kmax in ((1, 3), (2, 3), (3, 3), (4, 2)):
+            I = complete_intersection(d)
+            for k in range(1, kmax + 1):
+                assert I.symbolic_power(k) == I.power(k)
+            for engine in ("takayama", "betti"):
+                values = sequence(I, "depth", kmax, engine).values
+                assert values == (d,) * kmax
 
 
 class TestDepthViaBetti:

@@ -31,7 +31,8 @@ from _corpus import (
     random_monomial,
     random_squarefree_ideal,
 )
-from _reference import ideal_to_text, intersect, localized_contains
+from _reference import (enlarged_poset, ideal_to_text, intersect,
+                        localized_contains)
 
 
 def ideal(gens, n):
@@ -664,8 +665,8 @@ class TestBoxDivisors:
             symdepth.characteristic_poset(over, "ideal")
         assert str(exc.value) == "characteristic poset " + limit
         with pytest.raises(BudgetExceeded):
-            symdepth.characteristic_poset(
-                ideal([(1, 1, 0)], 3), "quotient", g=(MAX_BOX_POINTS,) * 3)
+            enlarged_poset(ideal([(1, 1, 0)], 3), "quotient",
+                           (MAX_BOX_POINTS,) * 3)
 
     def test_one_exception_class(self):
         sdepth_module = importlib.import_module("symdepth.sdepth")
@@ -705,13 +706,14 @@ class TestPublicSurface:
             "analyze_stability", "betti_table", "characteristic_poset",
             "complex_of_ideal", "depth", "depth_via_betti",
             "depth_via_takayama", "matroid_report", "sdepth",
-            "sdepth_at_least", "sdepth_from_poset", "sequence",
-            "split_by_variable", "takayama_complex", "unit_ideal",
+            "sdepth_at_least", "sequence", "split_by_variable",
+            "takayama_complex", "unit_ideal",
             "upper_koszul_complex", "verify_colon_identity",
             "verify_depth_comparison", "verify_power_membership",
             "verify_sdepth_comparison", "verify_splitting_bound",
             "zero_ideal",
         ]
+        assert len(symdepth.__all__) == 38
 
 
 class TestLayering:

@@ -17,7 +17,6 @@ from symdepth import (
     characteristic_poset,
     sdepth,
     sdepth_at_least,
-    sdepth_from_poset,
     split_by_variable,
     unit_ideal,
     zero_ideal,
@@ -26,7 +25,6 @@ from symdepth.monomial import MAX_BOX_POINTS
 from symdepth.sdepth import (
     DEFAULT_NODE_BUDGET,
     _Budget,
-    _minimal_generators,
     _minimal_points,
     _rho,
     counting_bound,
@@ -35,10 +33,12 @@ from symdepth.sdepth import (
 from _corpus import (
     corpus,
     cycle,
+    non_squarefree_corpus,
     path,
     random_monomial,
     random_squarefree_ideal,
 )
+from _reference import enlarged_poset, polarize, poset_sdepth
 
 
 def ideal(gens, n):
@@ -75,27 +75,29 @@ class TestCharacteristicPoset:
             assert not set(a.points) & set(b.points)
 
     def test_matches_membership_scan(self):
-        # the generator bitmasks keep the points and their grlex order
+        # the generator bitmasks keep the points and their grlex order, in
+        # the generator box and in a box past it
         rng = random.Random(54)
         for I in rng.sample(corpus(), 40):
             J = I.symbolic_power(rng.randint(1, 3))
-            g = tuple(b + rng.randint(0, 1)
-                      for b in J.generator_degree_bounds())
-            box = list(itertools.product(*(range(b + 1) for b in g)))
+            default = J.generator_degree_bounds()
+            g = tuple(b + rng.randint(0, 1) for b in default)
             for kind in ("ideal", "quotient"):
-                expected = sorted(
-                    (c for c in box if J.contains(c) == (kind == "ideal")),
-                    key=lambda c: (sum(c), c))
-                assert characteristic_poset(J, kind, g).points == tuple(
-                    expected)
+                posets = (characteristic_poset(J, kind),
+                          enlarged_poset(J, kind, g))
+                for poset in posets:
+                    box = itertools.product(
+                        *(range(b + 1) for b in poset.g))
+                    expected = sorted(
+                        (c for c in box
+                         if J.contains(c) == (kind == "ideal")),
+                        key=lambda c: (sum(c), c))
+                    assert poset.points == tuple(expected)
+                assert posets[0].g == default
 
     def test_principal_ideal_poset(self):
         poset = characteristic_poset(ideal([(1, 0)], 2), "ideal")
         assert poset.points == ((1, 0),)
-
-    def test_box_override_must_dominate(self):
-        with pytest.raises(ValueError):
-            characteristic_poset(TRIANGLE, "ideal", g=(1, 1, 0))
 
     def test_degenerate_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -209,8 +211,7 @@ class TestBoxEnlargement:
             for kind in ("ideal", "quotient"):
                 base = sdepth(I, kind).value
                 g = tuple(b + rng.randint(0, 1) for b in I.generator_degree_bounds())
-                enlarged = sdepth_from_poset(characteristic_poset(I, kind, g=g))
-                assert enlarged.value == base
+                assert poset_sdepth(enlarged_poset(I, kind, g)) == base
 
 
 class TestOrderProperties:
@@ -252,6 +253,15 @@ class TestMetamorphic:
                 J, Q = I.symbolic_power(k), P.symbolic_power(k)
                 for kind in ("ideal", "quotient"):
                     assert sdepth(Q, kind).value == sdepth(J, kind).value
+
+    def test_polarization(self):
+        # Ichim-Katthan-Moyano-Fernandez: polarization adds n' - n to the
+        # Stanley depth of the ideal and of its quotient
+        for J in non_squarefree_corpus()[:40]:
+            P = polarize(J)
+            for kind in ("ideal", "quotient"):
+                assert sdepth(P, kind, DECIDED_BUDGET).value - (P.n - J.n) \
+                    == sdepth(J, kind, DECIDED_BUDGET).value, (J, kind)
 
     def test_free_variable(self):
         # HVZ 2009: adding a variable that no generator uses adds 1
@@ -354,12 +364,12 @@ class TestBudget:
         with pytest.raises(BudgetExceeded, match=f"{MAX_BOX_POINTS + 1} points"):
             characteristic_poset(over, "ideal")
         with pytest.raises(BudgetExceeded, match="box"):
-            characteristic_poset(TRIANGLE, "quotient", g=(MAX_BOX_POINTS,) * 3)
+            enlarged_poset(TRIANGLE, "quotient", (MAX_BOX_POINTS,) * 3)
 
 
 def _levels(poset, budget):
     """Nodes used at each level s = n, n-1, ... with one shared budget, as
-    in sdepth_from_poset, and the first level's witness."""
+    in sdepth, and the first level's witness."""
     nodes = []
     for s in range(poset.n, -1, -1):
         before = budget.nodes
@@ -469,7 +479,7 @@ def reference_sdepth_from_poset(poset, node_budget=DEFAULT_NODE_BUDGET):
 
 @pytest.fixture
 def budgets(monkeypatch):
-    """Every node budget sdepth_from_poset makes, in order."""
+    """Every node budget sdepth makes, in order."""
     made = []
     module = importlib.import_module("symdepth.sdepth")
 
@@ -503,8 +513,8 @@ DECIDED_BUDGET = 20_000
 
 @functools.lru_cache(maxsize=None)
 def decided_triples():
-    """(poset, reference result, reference nodes) for each corpus triple
-    (I^(k) with k <= 2, kind) that the reference search decides."""
+    """(I^(k), poset, reference result, reference nodes) for each corpus
+    triple (I^(k) with k <= 2, kind) that the reference search decides."""
     decided = []
     for I in corpus():
         for k in (1, 2):
@@ -512,7 +522,7 @@ def decided_triples():
             for kind in ("ideal", "quotient"):
                 poset = characteristic_poset(J, kind)
                 try:
-                    decided.append((poset, *reference_sdepth_from_poset(
+                    decided.append((J, poset, *reference_sdepth_from_poset(
                         poset, DECIDED_BUDGET)))
                 except BudgetExceeded:
                     pass
@@ -578,7 +588,7 @@ class TestCountingBound:
     def test_f_vector_of_an_enlarged_box(self):
         J = TRIANGLE.symbolic_power(2)
         for kind in ("ideal", "quotient"):
-            poset = characteristic_poset(J, kind, g=(3, 2, 2))
+            poset = enlarged_poset(J, kind, (3, 2, 2))
             assert reference_polarized_f_vector(poset) == \
                 brute_polarized_f_vector(J, kind, poset.g)
             assert counting_bound(poset) == reference_counting_bound(poset)
@@ -600,7 +610,7 @@ class TestCountingBound:
 
     def test_bound_is_at_least_sdepth_on_the_corpus(self):
         assert len(decided_triples()) == 799
-        for poset, expected, _ in decided_triples():
+        for _, poset, expected, _ in decided_triples():
             assert counting_bound(poset) >= expected.value
 
     @pytest.mark.parametrize("ideal_, k, kind, bound", [
@@ -631,7 +641,8 @@ class TestCountingBound:
     def test_large_boxes(self, gens, n, kind, bound, monkeypatch):
         # far more than 64 polarized variables: the bound is still counted
         # from the box, with one rho per point and no walk over subsets
-        poset = characteristic_poset(ideal(gens, n), kind)
+        I = ideal(gens, n)
+        poset = characteristic_poset(I, kind)
         calls = []
 
         def counted(b, g):
@@ -643,7 +654,7 @@ class TestCountingBound:
         assert counting_bound(poset) == bound
         assert calls == list(poset.points)
         if len(poset.points) < 2000:
-            assert sdepth_from_poset(poset).value <= bound
+            assert sdepth(I, kind).value <= bound
 
 
 class TestAgainstReferenceSearch:
@@ -651,9 +662,9 @@ class TestAgainstReferenceSearch:
     kernel keeps the search order: the value and witness stay, and the
     nodes do not grow."""
 
-    def _compare(self, poset, expected, reference_nodes, budgets):
+    def _compare(self, J, poset, expected, reference_nodes, budgets):
         del budgets[:]
-        assert sdepth_from_poset(poset, DECIDED_BUDGET) == expected
+        assert sdepth(J, poset.kind, DECIDED_BUDGET) == expected
         assert len(budgets) == 1 and budgets[0].nodes <= reference_nodes
 
     def test_corpus(self, budgets):
@@ -665,8 +676,10 @@ class TestAgainstReferenceSearch:
                                   "C4-quotient"])
     def test_sdepth_search_anchors(self, ideal_, kmax, kind, budgets):
         for k in range(1, kmax + 1):
-            poset = characteristic_poset(ideal_.symbolic_power(k), kind)
-            self._compare(poset, *reference_sdepth_from_poset(poset), budgets)
+            J = ideal_.symbolic_power(k)
+            poset = characteristic_poset(J, kind)
+            self._compare(J, poset, *reference_sdepth_from_poset(poset),
+                          budgets)
 
     def test_kernel_matches_reference_per_level(self):
         rng = random.Random(52)
@@ -710,7 +723,8 @@ class TestMinimalPoints:
 
 def reference_minimal_generators(poset):
     """The box walk: the minimal points of the box [0, g] that lie in the
-    ideal, the box enumerated again for a quotient poset."""
+    ideal, the box enumerated again for a quotient poset.  They generate
+    the ideal whose characteristic poset this is."""
     if poset.kind == "ideal":
         inside = set(poset.points)
     else:
@@ -722,32 +736,16 @@ def reference_minimal_generators(poset):
 
 
 class TestSplittingWitness:
-    def test_generators_match_the_box_walk(self):
-        rng = random.Random(53)
-        posets = [characteristic_poset(I.symbolic_power(k), kind)
-                  for I in corpus() for k in (1, 2)
-                  for kind in ("ideal", "quotient")]
-        for _ in range(100):  # boxes past the generators, exponents to 3
-            n = rng.randint(1, 4)
-            I = ideal([random_monomial(rng, n, 3)
-                       for _ in range(rng.randint(1, 4))], n)
-            g = tuple(b + rng.randint(0, 1) for b in I.generator_degree_bounds())
-            for kind in ("ideal", "quotient"):
-                if not (kind == "quotient" and I.is_unit):
-                    posets.append(characteristic_poset(I, kind, g))
-        posets.append(characteristic_poset(zero_ideal(3), "quotient", (1, 2, 1)))
-        for poset in posets:
-            assert sorted(_minimal_generators(poset)) == sorted(
-                reference_minimal_generators(poset)), poset
-
-    def test_frontier_witness_with_the_box_walk(self, monkeypatch):
-        # the S/C6^(2) witness is the one the box walk's generators give
-        poset = characteristic_poset(cycle(6).symbolic_power(2), "quotient")
-        witness = splitting_witness(poset, 2, 1000)
-        monkeypatch.setattr(importlib.import_module("symdepth.sdepth"),
-                            "_minimal_generators", reference_minimal_generators)
-        assert splitting_witness(poset, 2, 1000) == witness
+    def test_frontier_witness_with_the_box_walk(self):
+        # the splitting starts from the ideal, which is the one that the
+        # box walk reads off the poset, so the S/C6^(2) witness stays
+        J = cycle(6).symbolic_power(2)
+        poset = characteristic_poset(J, "quotient")
+        assert ideal(reference_minimal_generators(poset), J.n) == J
+        witness = splitting_witness(J, poset, 2, 1000)
         assert len(witness.intervals) == 33
+        assert witness.is_exact_cover_of(poset.points)
+        assert witness.sdepth() >= 2
 
     @pytest.mark.parametrize("ideal_, k, intervals", [
         (cycle(6), 2, 33), (path(5), 3, 50),
@@ -770,9 +768,9 @@ class TestSplittingWitness:
         # wherever splitting finds a witness at s, it is an exact cover
         # with tops of rank >= s, so s <= sdepth
         found = 0
-        for poset, expected, _ in decided_triples()[::4]:
+        for J, poset, expected, _ in decided_triples()[::4]:
             for s in range(expected.value + 2):
-                witness = splitting_witness(poset, s, DECIDED_BUDGET)
+                witness = splitting_witness(J, poset, s, DECIDED_BUDGET)
                 if witness is not None:
                     found += 1
                     assert s <= expected.value
@@ -782,9 +780,10 @@ class TestSplittingWitness:
 
     def test_not_tight(self):
         # C5^(2): splitting gives 1 against the true 2 for the quotient
-        poset = characteristic_poset(cycle(5).symbolic_power(2), "quotient")
-        assert splitting_witness(poset, 2) is None
-        assert splitting_witness(poset, 1).sdepth() == 1
+        J = cycle(5).symbolic_power(2)
+        poset = characteristic_poset(J, "quotient")
+        assert splitting_witness(J, poset, 2) is None
+        assert splitting_witness(J, poset, 1).sdepth() == 1
 
     def test_ideal_frontier_still_exceeds(self):
         J = cycle(6).symbolic_power(2)
@@ -792,5 +791,6 @@ class TestSplittingWitness:
             sdepth(J, "ideal", node_budget=1000)
 
     def test_splitting_budget(self):
-        poset = characteristic_poset(cycle(6).symbolic_power(2), "quotient")
-        assert splitting_witness(poset, 2, node_budget=10) is None
+        J = cycle(6).symbolic_power(2)
+        poset = characteristic_poset(J, "quotient")
+        assert splitting_witness(J, poset, 2, node_budget=10) is None

@@ -134,18 +134,19 @@ class TestAnalyze:
         assert report.square_bound == max(1, t * t - t)
 
     def test_bight_bound_only_for_depth(self):
-        dep = analyze_stability(TRIANGLE, "depth", 2)
-        n, b = TRIANGLE.n, TRIANGLE.bight()
-        assert dep.bight_bound == n * (n + 1) * b ** (n / 2)
+        # the triangle: 3 * 4 * 2^(3/2) = 33.94..., reported as 34
+        assert analyze_stability(TRIANGLE, "depth", 2).bight_bound == 34
         assert analyze_stability(TRIANGLE, "sdepth_ideal", 2).bight_bound is None
 
     def test_bight_bound_past_the_float_range(self):
-        # the float where it is finite; its exact ceiling where it overflows
-        assert _bight_bound(130, 130) == 130 * 131 * 130 ** 65.0
-        assert _bight_bound(130, 130) == 4.3404279147006196e+141
+        # an int every time, also past the float range, where n (n + 1)
+        # bight^(n/2) overflows or the float would round
+        assert _bight_bound(5, 3) == 468  # 467.65...
+        assert _bight_bound(4, 4) == 320  # a perfect square: no rounding up
+        assert _bight_bound(130, 130) == 130 * 131 * 130 ** 65
         assert _bight_bound(300, 300) == 300 * 301 * 300 ** 150
-        # 251 ** 126.5 is a finite float, but the product overflows
-        for n, b in ((301, 301), (253, 251)):
+        for n, b in ((3, 2), (5, 3), (7, 2), (130, 129), (253, 251),
+                     (301, 301)):
             bound = _bight_bound(n, b)
             assert isinstance(bound, int)
             assert (bound - 1) ** 2 < (n * (n + 1)) ** 2 * b ** n <= bound ** 2
