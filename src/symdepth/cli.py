@@ -13,21 +13,13 @@ import json
 import sys
 
 from . import formats
-from .depth import EngineDisagreement, betti_table, depth
+from .depth import ENGINES, EngineDisagreement, betti_table, depth
 from .homology import check_char
-from .sdepth import (DEFAULT_NODE_BUDGET, BudgetExceeded, check_budget,
-                     json_value, sdepth)
-from .stability import (
-    QUANTITIES,
-    analyze_stability,
-    matroid_report,
-    sequence,
-    verify_colon_identity,
-    verify_depth_comparison,
-    verify_power_membership,
-    verify_sdepth_comparison,
-    verify_splitting_bound,
-)
+from .sdepth import DEFAULT_NODE_BUDGET, BudgetExceeded, check_budget, sdepth
+from .stability import (QUANTITIES, analyze_stability, matroid_report,
+                        sequence, verify_colon_identity,
+                        verify_depth_comparison, verify_power_membership,
+                        verify_sdepth_comparison, verify_splitting_bound)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,17 +27,26 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_BUDGET = 4
 
-ENGINES = ("cross_check", "takayama", "betti")
-
 
 def _emit(data, fmt):
-    """Print data in fmt; None means the rows are already printed."""
-    if data is None:
-        return
-    if fmt == "table":
-        _print_table(data)
-    else:
-        print(json.dumps(data, indent=2))
+    """Print data in fmt, every integer in full: the interpreter's limit
+    on int-to-str conversion, where it has one, is lifted meanwhile."""
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "table":
+            _print_table(data)
+        elif fmt == "csv":  # the values of a sequence, one row a power
+            print("k,value,engine,char")
+            for k, value in enumerate(data["values"], start=1):
+                print(f"{k},{value},{data['engine']},{data['char']}")
+        else:
+            print(json.dumps(data, indent=2))
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 def _print_table(data, indent=""):
@@ -80,7 +81,39 @@ def _checked(check, what, bound=None):
     return parse
 
 
+def _betti(ideal, char):
+    table = betti_table(ideal, char)
+    return dict(table.to_dict(),
+                total={str(i): v for i, v in sorted(table.total().items())},
+                projective_dimension=table.projective_dimension())
+
+
+def _symbolic_power(ideal, k):
+    power = ideal.symbolic_power(k)
+    return dict(formats.ideal_to_json(power),
+                equals_ordinary_power=power == ideal.power(k))
+
+
+def _splitting_bound(ideal, var, node_budget):
+    """verify_splitting_bound at the 1-based variable index var."""
+    if not 1 <= var <= ideal.n:
+        raise ValueError(f"variable index {var} out of range 1..{ideal.n}")
+    return verify_splitting_bound(ideal, var - 1, node_budget)
+
+
+def _check_matroid(delta):
+    """Whether delta is a matroid, with a failing exchange 1-based."""
+    is_mat, witness = delta.is_matroid()
+    data = {"matroid": is_mat}
+    if witness is not None:
+        data["witness"] = {"F": [v + 1 for v in witness[0]],
+                           "G": [v + 1 for v in witness[1]]}
+    return data
+
+
 def build_parser():
+    """Each command's `run` is the function it calls with its options, read
+    from this module's globals on each build, so a replaced one runs."""
     parser = argparse.ArgumentParser(
         prog="symdepth",
         description="Exact depth, Stanley depth, and symbolic-power "
@@ -98,34 +131,38 @@ def build_parser():
                        choices=("json", "table", "csv") if csv
                        else ("json", "table"))
         if budget:
-            p.add_argument("--budget", default=DEFAULT_NODE_BUDGET,
+            p.add_argument("--budget", dest="node_budget", metavar="BUDGET",
+                           default=DEFAULT_NODE_BUDGET,
                            type=_checked(check_budget, "node budget"),
                            help="node limit for the Stanley depth search, "
                                 "and again for its splitting fallback")
 
-    def command(parent, name, subject="ideal", **kwargs):
+    def command(parent, name, run, subject="ideal", **kwargs):
         p = parent.add_parser(name, **kwargs)
         p.add_argument(subject)
+        p.set_defaults(run=run)
         return p
 
-    p = command(sub, "depth", help="depth of S/I")
+    p = command(sub, "depth", depth, help="depth of S/I")
     p.add_argument("--engine", choices=ENGINES, default="cross_check")
     add_common(p, char=True)
 
-    add_common(command(sub, "betti", help="multigraded Betti numbers of S/I"),
-               char=True)
+    add_common(command(sub, "betti", _betti,
+                       help="multigraded Betti numbers of S/I"), char=True)
 
-    p = command(sub, "sdepth", help="Stanley depth of I or S/I")
+    p = command(sub, "sdepth", sdepth, help="Stanley depth of I or S/I")
     p.add_argument("--kind", choices=("ideal", "quotient"), default="ideal")
     add_common(p, budget=True)
 
-    p = command(sub, "symbolic-power", help="k-th symbolic power of I")
+    p = command(sub, "symbolic-power", _symbolic_power,
+                help="k-th symbolic power of I")
     p.add_argument("-k", type=int, required=True)
     add_common(p)
 
-    for name, help_ in (("sequence", "quantity along symbolic powers"),
-                        ("analyze", "stability analysis of a sequence")):
-        p = command(sub, name, help=help_)
+    for name, run, help_ in (
+            ("sequence", sequence, "quantity along symbolic powers"),
+            ("analyze", analyze_stability, "stability analysis of a sequence")):
+        p = command(sub, name, run, help=help_)
         p.add_argument("--quantity", choices=QUANTITIES, default="depth")
         p.add_argument("--kmax", type=int, required=True)
         p.add_argument("--engine", choices=ENGINES, default="cross_check")
@@ -133,101 +170,54 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check an inequality or identity")
     vsub = p.add_subparsers(dest="check", required=True)
-    for name in ("depsym", "sdepsym", "power-lemma"):
-        vp = command(vsub, name)
+    for name, run in (("depsym", verify_depth_comparison),
+                      ("sdepsym", verify_sdepth_comparison),
+                      ("power-lemma", verify_power_membership)):
+        vp = command(vsub, name, run)
         vp.add_argument("-m", type=int, required=True)
         vp.add_argument("-k", type=int, required=True)
         if name == "power-lemma":
             vp.add_argument("--samples", type=int, default=100)
             vp.add_argument("--seed", type=int, default=0)
         add_common(vp, char=name == "depsym", budget=name == "sdepsym")
-    vp = command(vsub, "colon-lemma")
+    vp = command(vsub, "colon-lemma", verify_colon_identity)
     vp.add_argument("--kmax", type=int, required=True)
     add_common(vp)
-    vp = command(vsub, "splitting-bound")
+    vp = command(vsub, "splitting-bound", _splitting_bound)
     vp.add_argument("--var", type=int, default=1, help="1-based variable index")
     add_common(vp, budget=True)
 
-    p = command(sub, "matroid-report", "complex",
+    p = command(sub, "matroid-report", matroid_report, "complex",
                 help="per-power report for a matroid")
     p.add_argument("--kmax", type=int, required=True)
     add_common(p, char=True, budget=True)
 
     p = sub.add_parser("complex", help="simplicial complex utilities")
     csub = p.add_subparsers(dest="action", required=True)
-    for name in ("check-matroid", "check-vd", "sr-ideal"):
-        add_common(command(csub, name, "complex"))
+    for name, run in (
+            ("check-matroid", _check_matroid),
+            ("check-vd", lambda delta: {
+                "vertex_decomposable": delta.is_vertex_decomposable()}),
+            ("sr-ideal", lambda delta: formats.ideal_to_json(
+                delta.stanley_reisner_ideal()))):
+        add_common(command(csub, name, run, "complex"))
 
     return parser
 
 
 def _run(args):
-    if "ideal" in args:
-        ideal = formats.load_ideal(args.ideal)
+    """Load the ideal or complex, make the one call the command names,
+    print what it returns, and exit 1 when a check it made failed."""
+    options = {key: value for key, value in vars(args).items() if key not in
+               ("command", "check", "action", "run", "format")}
+    if "ideal" in options:
+        subject = formats.load_ideal(options.pop("ideal"))
     else:
-        delta = formats.load_complex(args.complex)
-    passed = True
-
-    if args.command == "depth":
-        data = depth(ideal, args.engine, args.char).to_dict()
-    elif args.command == "betti":
-        table = betti_table(ideal, args.char)
-        data = dict(table.to_dict(),
-                    total={str(i): v for i, v in sorted(table.total().items())},
-                    projective_dimension=table.projective_dimension())
-    elif args.command == "sdepth":
-        data = sdepth(ideal, args.kind, args.budget).to_dict()
-    elif args.command == "symbolic-power":
-        power = ideal.symbolic_power(args.k)
-        data = dict(formats.ideal_to_json(power),
-                    equals_ordinary_power=power == ideal.power(args.k))
-    elif args.command in ("sequence", "analyze"):
-        compute = sequence if args.command == "sequence" else analyze_stability
-        report = compute(ideal, args.quantity, args.kmax, engine=args.engine,
-                         char=args.char, node_budget=args.budget)
-        data = None if args.format == "csv" else report.to_dict()
-        if data is None:
-            print("k,value,engine,char")
-            for k, value in enumerate(report.values, start=1):
-                print(f"{k},{json_value(value)},{report.engine},{report.char}")
-    elif args.command == "verify":
-        if args.check == "depsym":
-            result = verify_depth_comparison(ideal, args.m, args.k,
-                                             char=args.char)
-        elif args.check == "sdepsym":
-            result = verify_sdepth_comparison(ideal, args.m, args.k,
-                                              node_budget=args.budget)
-        elif args.check == "power-lemma":
-            result = verify_power_membership(ideal, args.m, args.k,
-                                             samples=args.samples,
-                                             seed=args.seed)
-        elif args.check == "colon-lemma":
-            result = verify_colon_identity(ideal, args.kmax)
-        else:
-            if not 1 <= args.var <= ideal.n:
-                raise ValueError(
-                    f"variable index {args.var} out of range 1..{ideal.n}")
-            result = verify_splitting_bound(ideal, args.var - 1,
-                                            node_budget=args.budget)
-        data, passed = result.to_dict(), result.passed
-    elif args.command == "matroid-report":
-        report = matroid_report(delta, args.kmax, char=args.char,
-                                node_budget=args.budget)
-        data, passed = report.to_dict(), report.all_claims_hold
-    elif args.action == "check-matroid":
-        is_mat, witness = delta.is_matroid()
-        data = {"matroid": is_mat}
-        if witness is not None:
-            data["witness"] = {
-                "F": [v + 1 for v in witness[0]],
-                "G": [v + 1 for v in witness[1]],
-            }
-    elif args.action == "check-vd":
-        data = {"vertex_decomposable": delta.is_vertex_decomposable()}
-    else:
-        data = formats.ideal_to_json(delta.stanley_reisner_ideal())
-
-    _emit(data, args.format)
+        subject = formats.load_complex(options.pop("complex"))
+    result = args.run(subject, **options)
+    _emit(result if isinstance(result, dict) else result.to_dict(),
+          args.format)
+    passed = getattr(result, "passed", getattr(result, "all_claims_hold", True))
     return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 

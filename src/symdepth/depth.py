@@ -26,6 +26,9 @@ from .homology import check_char
 from .monomial import (MonomialIdeal, check_box, check_exponents, divides,
                        divisor_masks, support)
 
+# the depth engines, in the order the CLI's --engine help shows them
+ENGINES = ("cross_check", "takayama", "betti")
+
 
 class EngineDisagreement(RuntimeError):
     """Both depth engines ran but returned different values: a bug."""
@@ -441,7 +444,7 @@ def _symbolic_depth(ideal, k, engine, char):
 
 def _run_engine(engine, takayama, betti):
     """The witness of the named engine, each engine given as a thunk."""
-    if engine not in ("takayama", "betti", "cross_check"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown depth engine {engine!r}")
     a = None if engine == "betti" else takayama()
     b = None if engine == "takayama" else betti()

@@ -161,22 +161,25 @@ def _check(name, ideal, rows, details=None):
     return CheckResult(name, failed is None, tuple(rows), counterexample)
 
 
-def _compare_powers(name, ideal, m, k, kinds, value):
-    """value(kind, t) at t = m is >= its value at t = km+j, for each kind
-    and all admissible j; a kind of None puts no "kind" key in the rows."""
+def _compare_powers(name, ideal, m, k, quantities, char=0,
+                    node_budget=DEFAULT_NODE_BUDGET):
+    """Each quantity at I^(m), by Takayama for depth, is >= its value at
+    I^(km+j) for all admissible j; only Stanley-depth rows carry a kind."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     js = _admissible_j(m, k)
     rows = []
-    for kind in kinds:
+    for quantity in quantities:
         # each distinct power once, in increasing order: at m = 1 the lhs
         # power I^(1) is also the row k * m + j = 1
-        values = {t: value(kind, t)
+        values = {t: _value_at(ideal, t, quantity, "takayama", char,
+                               node_budget)
                   for t in dict.fromkeys([m] + [k * m + j for j in js])}
         lhs = values[m]
+        kind = quantity.partition("_")[2]  # "sdepth_ideal" -> "ideal"
         for j in js:
             rhs = values[k * m + j]
-            rows.append(dict({} if kind is None else {"kind": kind},
+            rows.append(dict({"kind": kind} if kind else {},
                              m=m, k=k, j=j, lhs=json_value(lhs),
                              rhs=json_value(rhs), ok=lhs >= rhs))
     return _check(name, ideal, rows)
@@ -184,17 +187,14 @@ def _compare_powers(name, ideal, m, k, kinds, value):
 
 def verify_depth_comparison(ideal, m, k, char=0):
     """Takayama depth(S/I^(m)) >= depth(S/I^(km+j)) for all admissible j."""
-    return _compare_powers(
-        "depsym", ideal, m, k, (None,),
-        lambda _, t: _symbolic_depth(ideal, t, "takayama", char).depth)
+    return _compare_powers("depsym", ideal, m, k, ("depth",), char=char)
 
 
 def verify_sdepth_comparison(ideal, m, k, node_budget=DEFAULT_NODE_BUDGET):
     """sdepth(I^(m)) >= sdepth(I^(km+j)) and the quotient analogue."""
-    return _compare_powers(
-        "sdepsym", ideal, m, k, ("ideal", "quotient"),
-        lambda kind, t: sdepth(ideal.symbolic_power(t), kind,
-                               node_budget).value)
+    return _compare_powers("sdepsym", ideal, m, k,
+                           ("sdepth_ideal", "sdepth_quotient"),
+                           node_budget=node_budget)
 
 
 def verify_power_membership(ideal, m, k, samples=100, seed=0):

@@ -48,6 +48,13 @@ def corpus(count=200, seed=CORPUS_SEED, nmax=5):
     return [random_squarefree_ideal(rng, rng.randint(2, nmax)) for _ in range(count)]
 
 
+def corpus_pairs():
+    """30 seeded pairs of corpus() members, each in at most five variables."""
+    rng = random.Random(CORPUS_SEED)
+    ideals = corpus()
+    return [tuple(rng.sample(ideals, 2)) for _ in range(30)]
+
+
 def random_monomial(rng, n, max_degree):
     return tuple(rng.randint(0, max_degree) for _ in range(n))
 

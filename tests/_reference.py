@@ -1,9 +1,9 @@
 """Reference definitions the tests compare the library against: ideal
 membership after localization, intersection through lcms, purity and
 face counts of a complex, the text and JSON writers whose readers the
-library has, polarization, and the characteristic poset over a box
-larger than the generators' with its Stanley depth.  Each is the plain
-definition, not a fast path."""
+library has, polarization, the sum of two ideals in disjoint variables,
+and the characteristic poset over a box larger than the generators' with
+its Stanley depth.  Each is the plain definition, not a fast path."""
 
 from collections import Counter
 
@@ -78,6 +78,14 @@ def polarize(ideal):
     gens = [sum(((1,) * a + (0,) * (w - a) for a, w in zip(u, widths)), ())
             for u in ideal.gens]
     return MonomialIdeal.from_generators(gens, sum(widths))
+
+
+def join(ideal, other):
+    """I + J in the ring of both, I in the first ideal.n variables and J in
+    the other.n after them: S/(I + J) is A/I tensor B/J."""
+    gens = ([g + (0,) * other.n for g in ideal.gens]
+            + [(0,) * ideal.n + h for h in other.gens])
+    return MonomialIdeal.from_generators(gens, ideal.n + other.n)
 
 
 def enlarged_poset(ideal, kind, g):

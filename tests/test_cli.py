@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from symdepth import MonomialIdeal, SdepthResult, formats
-from symdepth.cli import main
+from symdepth.cli import build_parser, main
 from symdepth.complexes import homology_dims
 from symdepth.depth import DepthWitness
 from _corpus import cycle
@@ -291,6 +293,22 @@ class TestAnalyzeCommand:
                                       "--kmax", "1"])
         assert (code, err) == (0, "")
         assert json.loads(out)["bight_bound"] == 300 * 301 * 300 ** 150
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bight_bound_past_the_digit_limit(self, tmp_path, capsys, fmt):
+        # 9000 * 9001 * 10^4500 has 4,508 digits, past the interpreter's
+        # default limit of 4,300 on int-to-str conversion; the limit is
+        # lifted only while printing
+        path = tmp_path / "maximal.txt"
+        path.write_text("n=9000\n" + "\n".join(f"x{i}" for i in range(1, 11)))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, ["analyze", str(path), "--quantity",
+                                      "depth", "--engine", "takayama",
+                                      "--kmax", "1", "--format", fmt])
+        assert (code, err) == (0, "")
+        digits = re.search(r'bight_bound"?:? +(\d+)', out).group(1)
+        assert digits == "81009000" + "0" * 4500
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def first_call_then(first, later):
@@ -749,6 +767,21 @@ class TestErrorHandling:
         assert data["takayama"]["depth"] == 1
         assert data["betti"] == {"depth": 2, "engine": "betti", "char": 0,
                                  "betti_index": 1, "betti_degree": [1, 1, 0]}
+
+
+class TestParser:
+    def leaves(self, parser):
+        subparsers = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        if not subparsers:
+            return [parser]
+        return [leaf for child in subparsers[0].choices.values()
+                for leaf in self.leaves(child)]
+
+    def test_each_command_names_the_function_it_runs(self):
+        leaves = self.leaves(build_parser())
+        assert len(leaves) == 15
+        assert all(callable(leaf.get_default("run")) for leaf in leaves)
 
 
 class TestStartup:

@@ -38,13 +38,14 @@ from symdepth.monomial import (box_divisors, check_exponents, divides,
 from _corpus import (
     RP2_FACETS,
     corpus,
+    corpus_pairs,
     cycle,
     non_squarefree_corpus,
     path,
     random_monomial,
     random_squarefree_ideal,
 )
-from _reference import lcm_exp, localized_contains, polarize
+from _reference import join, lcm_exp, localized_contains, polarize
 
 
 def ideal(gens, n):
@@ -447,6 +448,27 @@ class TestKnownAnswers:
             for engine in ("takayama", "betti"):
                 values = sequence(I, "depth", kmax, engine).values
                 assert values == (d,) * kmax
+
+    def test_kunneth_depth_adds(self):
+        # S/(I + J) = A/I (x) B/J for I and J in disjoint variables, so
+        # depth S/(I + J) = depth A/I + depth B/J
+        for I, J in corpus_pairs():
+            for engine in ("takayama", "betti"):
+                assert depth(join(I, J), engine).depth == \
+                    depth(I, engine).depth + depth(J, engine).depth, \
+                    (I, J, engine)
+
+    def test_kunneth_betti_table_is_the_convolution(self):
+        # the tensor product of the minimal free resolutions of A/I and
+        # B/J is a minimal free resolution of S/(I + J)
+        for I, J in corpus_pairs():
+            expected = {}
+            for p, alpha, a in betti_table(I).entries:
+                for q, beta, b in betti_table(J).entries:
+                    key = (p + q, alpha + beta)
+                    expected[key] = expected.get(key, 0) + a * b
+            assert {(i, alpha): value for i, alpha, value
+                    in betti_table(join(I, J)).entries} == expected, (I, J)
 
 
 class TestDepthViaBetti:

@@ -1,8 +1,10 @@
 """Golden CLI transcripts: every command recorded in golden_cli.json gives
 the same exit code, stdout and stderr, byte for byte.  They cover every
 README example, each verifier in JSON and table format, `analyze` on
-every quantity and `matroid-report` (the degenerate complexes included),
-so a change meant to keep the output must keep them all.
+every quantity, `matroid-report` (the degenerate complexes included) and
+the `-h` text of the program and of each command, check and action at a
+terminal width of 80 columns, so a change meant to keep the output must
+keep them all.
 
     PYTHONPATH=src python tests/test_golden_cli.py   # re-record the outputs
 
@@ -23,6 +25,8 @@ from symdepth.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 DATA = json.loads(GOLDEN.read_text())
+# argparse wraps the help text to the width that COLUMNS names
+COLUMNS = "80"
 
 
 def write_inputs(directory):
@@ -45,10 +49,12 @@ def transcript(argv):
 def test_transcript(recorded, tmp_path, monkeypatch):
     write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     assert transcript(recorded["argv"]) == recorded
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = COLUMNS
     with tempfile.TemporaryDirectory() as work:
         write_inputs(work)
         here = os.getcwd()

@@ -25,13 +25,14 @@ from _corpus import (
     RP2_FACETS,
     complex_corpus,
     corpus,
+    corpus_pairs,
     cycle,
     non_squarefree_corpus,
     path,
     random_monomial,
     random_squarefree_ideal,
 )
-from _reference import (enlarged_poset, ideal_to_text, intersect,
+from _reference import (enlarged_poset, ideal_to_text, intersect, join,
                         localized_contains)
 
 
@@ -279,6 +280,21 @@ class TestSymbolicPower:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
             self.triangle().symbolic_power(0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sum_in_disjoint_variables(self, k):
+        # (I + J)^(k) = sum over i of I^(i) J^(k - i), with I^(0) = J^(0)
+        # the unit ideal (Ha-Nguyen-Trung-Trung, Symbolic powers of sums of
+        # ideals, Math. Z. 2020); in disjoint variables a product of
+        # generators is their concatenation
+        def gens(I, i):
+            return I.symbolic_power(i).gens if i else [(0,) * I.n]
+
+        for I, J in corpus_pairs():
+            expected = ideal([g + h for i in range(k + 1)
+                              for g in gens(I, i) for h in gens(J, k - i)],
+                             I.n + J.n)
+            assert join(I, J).symbolic_power(k) == expected, (I, J)
 
 
 class TestSymbolicPowerConstruction:
