@@ -201,19 +201,26 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
 
     def is_matroid(self):
         """Exchange-axiom check; returns (True, None) or (False, (F, G))
-        with a violating pair of faces, searched in order once the facets
-        fail basis exchange.  Basis exchange holds exactly for a matroid,
-        so the search always finds a pair."""
+        with a violating pair of faces, the first in the order of F, then
+        G, each by size then mask, once the facets fail basis exchange.
+        The faces are made one size at a time, from the facets, up to the
+        size of F; a pair asks only about faces no larger than F.  Basis
+        exchange holds exactly for a matroid, so the search always finds a
+        pair."""
         self._require_not_void()
         if _bases_exchange(self.facets):
             return True, None
-        faces = sorted(self.face_masks(), key=_facet_key)
-        face_set = set(faces)
-        big, small = next(
-            (big, small) for big, small in itertools.product(faces, faces)
-            if big.bit_count() > small.bit_count()
-            and not _has_exchange(small, big & ~small, face_set))
-        return False, (vertices_of(big), vertices_of(small))
+        levels, made = [[0]], {0}  # the faces of each size, in mask order
+        for size in range(1, self.dim() + 2):
+            levels.append(sorted({
+                mask_of(c) for f in self.facets
+                for c in itertools.combinations(vertices_of(f), size)}))
+            made.update(levels[size])
+            for big in levels[size]:
+                for small in itertools.chain.from_iterable(levels[:size]):
+                    if not _has_exchange(small, big & ~small, made):
+                        return False, (vertices_of(big), vertices_of(small))
+        raise RuntimeError("no exchange-axiom violation; basis exchange bug")
 
     def is_vertex_decomposable(self):
         self._require_not_void()
@@ -252,8 +259,34 @@ def _has_exchange(small, candidates, face_set):
     return False
 
 
-@functools.lru_cache(maxsize=None)
+_decomposable = {}  # (n, facets) -> whether the complex is vertex decomposable
+
+
 def _vertex_decomposable(n, facets):
+    """A simplex, or a complex with a shedding vertex v (its deletion keeps
+    only facets of the complex) whose deletion and link are vertex
+    decomposable, the vertices tried in increasing order.  Each pending
+    complex is a generator on an explicit stack, not a Python call frame,
+    so a long chain of deletions meets no recursion limit."""
+    stack = [((n, facets), _shedding_steps(n, facets))]
+    answer = None  # what the generator on top is sent next
+    while stack:
+        key, steps = stack[-1]
+        try:
+            query = steps.send(answer)
+        except StopIteration as done:
+            stack.pop()
+            answer = _decomposable[key] = done.value
+            continue
+        answer = _decomposable.get((n, query))
+        if answer is None:
+            stack.append(((n, query), _shedding_steps(n, query)))
+    return answer
+
+
+def _shedding_steps(n, facets):
+    """Yields the facets of each complex whose decomposability deciding
+    this one needs, is sent the answer, and returns the decision."""
     complex_ = SimplicialComplex(n, facets)
     if complex_.is_simplex:
         return True
@@ -262,8 +295,7 @@ def _vertex_decomposable(n, facets):
         deletion = complex_.deletion((v,))
         if not all(f in facet_set for f in deletion.facets):
             continue
-        if _vertex_decomposable(n, deletion.facets) and \
-                _vertex_decomposable(n, complex_.link((v,)).facets):
+        if (yield deletion.facets) and (yield complex_.link((v,)).facets):
             return True
     return False
 

@@ -14,14 +14,8 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .complexes import (
-    SimplicialComplex,
-    _facet_key,
-    _reduce_to_facets,
-    complex_of_ideal,
-    homology_dims,
-    mask_of,
-)
+from .complexes import (SimplicialComplex, _facet_key, _reduce_to_facets,
+                        complex_of_ideal, homology_dims, mask_of, vertices_of)
 from .homology import check_char
 from .monomial import (MonomialIdeal, check_box, check_exponents, divides,
                        divisor_masks, support)
@@ -128,15 +122,16 @@ def takayama_complex(ideal, pair):
 _homology_dims = functools.lru_cache(maxsize=None)(homology_dims)
 
 
-def _generic_complexes(ideal, rho, cosupport):
-    """(alpha_plus, facets) at one cosupport G for every alpha_plus of the
-    box, in box order.  The facets are those of the Alexander dual, in the
-    vertices V outside G, of the Takayama complex: the sets V minus the
-    excess sets E_g = {i in V : g_i > alpha_i}, or () where some E_g is
-    empty and the complex is void.  H_j of it is H_(|V|-j-3) of the dual."""
-    vertices = [j for j in range(ideal.n) if j not in cosupport]
-    free_mask = mask_of(vertices)
-    ranges = [range(1) if j in cosupport else range(max(rho[j], 1))
+def _generic_complexes(ideal, rho, cos_mask):
+    """(alpha_plus, facets) at the cosupport bitmask G for every alpha_plus
+    of the box, in box order.  The facets are those of the Alexander dual,
+    in the vertices V outside G, of the Takayama complex: the sets V minus
+    the excess sets E_g = {i in V : g_i > alpha_i}, or () where some E_g
+    is empty and the complex is void.  H_j of a complex is H_(|V|-j-3) of
+    its dual."""
+    free_mask = ((1 << ideal.n) - 1) & ~cos_mask
+    vertices = vertices_of(free_mask)
+    ranges = [range(1) if cos_mask >> j & 1 else range(max(rho[j], 1))
               for j in range(ideal.n)]
     for alpha in itertools.product(*ranges):
         excess = [mask_of(j for j in vertices if g[j] > alpha[j])
@@ -146,8 +141,10 @@ def _generic_complexes(ideal, rho, cosupport):
 
 
 def _prime_power_complexes(prime_masks, k, rho, cos_mask):
-    """(alpha_plus, facets) at one cosupport when I is an intersection of
-    prime powers, one pair per distinct set of short primes, in box order.
+    """(alpha_plus, facets) at the cosupport bitmask G when I is an
+    intersection of prime powers, one pair per distinct set of short
+    primes, in box order; nothing when a vertex outside G lies in no live
+    prime (one missing G), as every complex there is a cone or void.
 
     The complex at alpha is the union of the simplexes on free vertices
     avoiding each prime that misses the cosupport and whose exponent sum
@@ -162,6 +159,9 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
     tried.
     """
     live = [p for p in prime_masks if not p & cos_mask]
+    free_mask = ((1 << len(rho)) - 1) & ~cos_mask
+    if free_mask & ~functools.reduce(operator.or_, live, 0):
+        return  # the cover test
     states = {(k,) * len(live): ()}  # deficits -> first prefix reaching them
     for j, top in enumerate(rho):
         hits = [t for t, p in enumerate(live) if p >> j & 1]
@@ -179,7 +179,6 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
                     lowered[t] = d - a if d > a else 0
                 grown.setdefault(tuple(lowered), alpha + (a,))
         states = grown
-    free_mask = ((1 << len(rho)) - 1) & ~cos_mask
     first = {}  # short primes -> first alpha
     for deficits, alpha in states.items():
         first.setdefault(tuple(p for p, d in zip(live, deficits) if d), alpha)
@@ -252,9 +251,9 @@ def _prime_power_depth(n, primes, k, char):
     for each t in T: each variable of u is in a tight prime, so u is a
     minimal generator, with u_j = k.
 
-    A cosupport G with a vertex outside it in no live prime (one missing
-    G) has only cones and void complexes; any other G takes one
-    multidegree per set of short primes, with index min(dims) + |G| + 1.
+    _prime_power_complexes skips a cosupport G with a vertex outside it
+    in no live prime; any other G takes one multidegree per set of short
+    primes, with index min(dims) + |G| + 1.
     A witness of index b leaves a G of size c only homology in degree
     <= b - c - 2 to beat it.  Degree -1 is the complex {emptyset}, met
     only at alpha = 0 where V - G is a minimal prime P.  At alpha = 0 the
@@ -269,34 +268,27 @@ def _prime_power_depth(n, primes, k, char):
     exit: it needs mu(I) and never changes the witness."""
     masks = [mask_of(p) for p in primes]
     rho = tuple(k * any(j in p for p in primes) for j in range(n))
-
-    def complexes(cosupport):
-        cos_mask = mask_of(cosupport)
-        reach = functools.reduce(
-            operator.or_, (p for p in masks if not p & cos_mask), cos_mask)
-        if reach != (1 << n) - 1:
-            return ()  # a vertex in no live prime: cones or void
-        return _prime_power_complexes(masks, k, rho, cos_mask)
-
+    complexes = functools.partial(_prime_power_complexes, masks, k, rho)
     return _takayama_scan(n, rho, char, complexes, 1)
 
 
 def _takayama_scan(n, rho, char, complexes, margin, taylor=None):
-    """The first (alpha, facets) of complexes(G) of least index, G by size
-    then lex.  The scan ends at an index <= |G| + margin, or at taylor."""
+    """The first (alpha, facets) of complexes(G) of least index, G a
+    bitmask, by size then lex.  The scan ends at an index <= |G| + margin,
+    or at taylor."""
     # A free variable (in no generator) lies in every facet at a cosupport
     # that misses it, so only cosupports holding every free variable are
     # scanned.  Adding a fixed disjoint set keeps the lex order of the
     # combinations of the other variables.
-    free = tuple(j for j in range(n) if not rho[j])
-    others = [j for j in range(n) if rho[j]]
+    free = mask_of(j for j in range(n) if not rho[j])
+    others = [1 << j for j in range(n) if rho[j]]
     best = None  # the witness of the least index so far
-    for csize in range(len(free), n + 1):
+    for csize in range(free.bit_count(), n + 1):
         if best is not None and best.depth <= csize + margin:
             return best
-        for rest in itertools.combinations(others, csize - len(free)):
-            cosupport = tuple(sorted(rest + free))
-            for alpha, facets in complexes(cosupport):
+        for rest in itertools.combinations(others, csize - free.bit_count()):
+            cos_mask = sum(rest, free)
+            for alpha, facets in complexes(cos_mask):
                 if margin and best is not None and \
                         best.depth == csize + 2 and not _disconnected(facets):
                     continue  # no homology in degree 0 or below
@@ -305,8 +297,8 @@ def _takayama_scan(n, rho, char, complexes, margin, taylor=None):
                     continue
                 i = min(dims) + csize + 1 if margin else n - 2 - max(dims)
                 if best is None or i < best.depth:
-                    best = DepthWitness(i, "takayama", char, alpha, cosupport,
-                                        i - csize - 1)
+                    best = DepthWitness(i, "takayama", char, alpha,
+                                        vertices_of(cos_mask), i - csize - 1)
                     if i <= csize + margin or i == taylor:
                         return best  # no index ahead is smaller
     # at csize = n every complex is void, so a witness has returned above

@@ -169,12 +169,14 @@ def sdepth_at_least(poset, s, budget=None):
     if any(map(operator.gt, size, size[1:])):
         raise ValueError("poset points must be in grlex order")
     # up[i], down[i]: points >= and <= point i, from the divisor masks of
-    # the points (playing the generators); at_least runs the OR backwards
+    # the points (playing the generators); at_least runs the OR backwards.
+    # In no variables the meets AND no rows, so they are cut to the points
     exactly, at_most = divisor_masks(points, g)
     at_least = [list(itertools.accumulate(row[::-1], operator.or_))[::-1]
                 for row in exactly]
-    up = [_meet(at_least, p) for p in points]
-    down = [_meet(at_most, p) for p in points]
+    everything = (1 << len(points)) - 1
+    up = [_meet(at_least, p) & everything for p in points]
+    down = [_meet(at_most, p) & everything for p in points]
     high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
     failed = set()
     candidates = {}
@@ -220,7 +222,7 @@ def sdepth_at_least(poset, s, budget=None):
         failed.add(uncovered)
         return None
 
-    found = search((1 << len(points)) - 1)
+    found = search(everything)
     if found is None:
         return None
     return IntervalPartition(
@@ -283,6 +285,7 @@ def sdepth(ideal, kind, node_budget=DEFAULT_NODE_BUDGET):
                 raise
         if witness is not None:
             return SdepthResult(kind, s, poset.g, witness)
+    raise RuntimeError("no interval partition at level 0; search bug")
 
 
 def splitting_witness(ideal, poset, s, node_budget=DEFAULT_NODE_BUDGET):

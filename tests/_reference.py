@@ -1,10 +1,15 @@
 """Reference definitions the tests compare the library against: ideal
 membership after localization, intersection through lcms, purity and
-face counts of a complex, the text and JSON writers whose readers the
-library has, polarization, the sum of two ideals in disjoint variables,
-and the characteristic poset over a box larger than the generators' with
-its Stanley depth.  Each is the plain definition, not a fast path."""
+face counts of a complex, the first exchange-axiom violation over the
+list of all faces, vertex decomposability by recursion, the text and JSON
+writers whose readers the library has, polarization, the sum of two
+ideals in disjoint variables, the characteristic poset over a box larger
+than the generators' with its Stanley depth, and the K-polynomial by the
+colon recursion.  Each is the plain definition, not a fast path."""
 
+import functools
+import itertools
+import operator
 from collections import Counter
 
 from symdepth import CharacteristicPoset, MonomialIdeal, sdepth_at_least
@@ -48,6 +53,37 @@ def is_pure(delta):
 def face_counts(delta):
     """Number of faces per cardinality, {cardinality: count}."""
     return dict(Counter(m.bit_count() for m in delta.face_masks()))
+
+
+def matroid_witness(delta):
+    """The first pair (F, G) of faces, F then G each by size then mask,
+    with |F| > |G| and no v in F - G making G + v a face, searched over
+    the list of every face; None when the complex is a matroid."""
+    faces = sorted(delta.face_masks(), key=lambda m: (m.bit_count(), m))
+    face_set = set(faces)
+    for big in faces:
+        for small in itertools.takewhile(
+                lambda m: m.bit_count() < big.bit_count(), faces):
+            if not any(small | 1 << v in face_set
+                       for v in vertices_of(big & ~small)):
+                return vertices_of(big), vertices_of(small)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def vertex_decomposable(delta):
+    """A simplex, or a complex with a shedding vertex v (its deletion keeps
+    only facets of the complex) whose deletion and link are vertex
+    decomposable; a recursive call per deleted vertex."""
+    if delta.is_simplex:
+        return True
+    for v in vertices_of(delta.vertex_mask()):
+        deletion = delta.deletion((v,))
+        if set(deletion.facets) <= set(delta.facets) and \
+                vertex_decomposable(deletion) and \
+                vertex_decomposable(delta.link((v,))):
+            return True
+    return False
 
 
 def ideal_to_text(ideal):
@@ -102,3 +138,34 @@ def poset_sdepth(poset):
     an interval partition of the poset."""
     return next(s for s in range(poset.n, -1, -1)
                 if sdepth_at_least(poset, s) is not None)
+
+
+def k_polynomial(ideal):
+    """The K-polynomial of S/I, {exponent: coefficient}, the numerator of
+    its multigraded Hilbert series over the product of the 1 - x_i, by
+    the recursion K(S/(J + (m))) = K(S/J) - x^m K(S/(J : m)), with
+    K(S/0) = 1 and 0 for the zero module S/S; memoized on the minimal
+    generators.  It takes no resolution, complex or rank."""
+    n = ideal.n
+
+    def minimal(gens):
+        gens = set(gens)
+        return tuple(sorted(g for g in gens if not any(
+            h != g and all(map(operator.le, h, g)) for h in gens)))
+
+    @functools.lru_cache(maxsize=None)
+    def k(gens):
+        if not gens:
+            return {(0,) * n: 1}
+        if not any(gens[0]):  # the smallest generator is 1: the unit ideal
+            return {}
+        *rest, m = gens
+        out = dict(k(tuple(rest)))
+        colon = minimal(tuple(max(a - b, 0) for a, b in zip(g, m))
+                        for g in rest)
+        for a, c in k(colon).items():
+            shifted = tuple(map(operator.add, a, m))
+            out[shifted] = out.get(shifted, 0) - c
+        return {a: c for a, c in out.items() if c}
+
+    return k(minimal(ideal.gens))

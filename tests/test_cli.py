@@ -396,6 +396,17 @@ class TestVerifyCommands:
         assert data["result"] == "PASS"
         assert data["comparisons"][0]["variable"] == 2
 
+    def test_splitting_bound_of_the_unit_ideal(self, tmp_path, capsys):
+        # the restriction lives in no variables, where sdepth is 0
+        path = tmp_path / "unit.json"
+        path.write_text('{"n": 1, "generators": [[0]]}')
+        code, out, err = run(capsys, ["verify", "splitting-bound", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "check": "splitting-bound", "result": "PASS", "comparisons": [
+                {"variable": 1, "lhs": 1, "restriction": 0, "colon": 1,
+                 "ok": True}]}
+
     def test_depsym_table_format(self, triangle_file, capsys):
         code, out, _ = run(capsys, [
             "verify", "depsym", triangle_file, "-m", "1", "-k", "1",
@@ -508,6 +519,28 @@ class TestComplexCommands:
         code, out, _ = run(capsys, ["complex", "check-vd", hollow_file])
         assert code == 0
         assert json.loads(out)["vertex_decomposable"] is True
+
+    def test_check_vd_on_a_long_path(self, tmp_path, capsys):
+        # decided without recursion: 500 vertices are past the limit
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(
+            {"n": 500, "facets": [[v, v + 1] for v in range(1, 500)]}))
+        code, out, err = run(capsys, ["complex", "check-vd", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"vertex_decomposable": True}
+
+    def test_check_matroid_without_listing_every_face(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a 20-vertex simplex and a point: the witness has faces of size <= 2
+        monkeypatch.setattr("symdepth.SimplicialComplex.face_masks",
+                            refuse_enumeration)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 21, "facets": [list(range(1, 21)),
+                                                         [21]]}))
+        code, out, err = run(capsys, ["complex", "check-matroid", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"matroid": False,
+                                   "witness": {"F": [1, 2], "G": [21]}}
 
     def test_sr_ideal(self, hollow_file, capsys):
         code, out, _ = run(capsys, ["complex", "sr-ideal", hollow_file])

@@ -1,16 +1,21 @@
 import functools
 import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from symdepth import MonomialIdeal, SimplicialComplex, complex_of_ideal, zero_ideal
+from symdepth.formats import complex_from_json
 from symdepth.complexes import _bases_exchange, _faces, homology_dims, mask_of, strong_core, vertices_of
 from symdepth.homology import reduced_homology_from_faces
 from symdepth.monomial import support
 
-from _corpus import RP2_FACETS, complex_corpus, corpus, random_squarefree_ideal
-from _reference import complex_to_json, face_counts, is_pure
+from _corpus import (RP2_FACETS, complex_corpus, corpus, random_complex,
+                     random_squarefree_ideal)
+from _reference import (complex_to_json, face_counts, is_pure, matroid_witness,
+                        vertex_decomposable)
 
 
 def cx(n, facets):
@@ -215,6 +220,35 @@ class TestMatroid:
             assert is_pure(delta)
             assert delta.is_vertex_decomposable()
 
+    def test_witness_is_the_first_over_all_faces(self):
+        # the faces are made one size at a time, yet the pair is the one
+        # the search over the list of every face finds first
+        golden = json.loads((Path(__file__).parent / "golden_cli.json")
+                            .read_text())["inputs"]
+        rng = random.Random(25)
+        complexes = (complex_corpus() + [cx(6, RP2_FACETS)]
+                     + [random_complex(rng, rng.randint(2, 9))
+                        for _ in range(200)]
+                     + [complex_from_json(text) for text in golden.values()
+                        if '"facets"' in text])
+        seen = set()
+        for delta in complexes:
+            if delta.is_void:
+                continue
+            witness = matroid_witness(delta)
+            assert delta.is_matroid() == (witness is None, witness)
+            seen.add(witness is None)
+        assert seen == {True, False}
+
+    def test_witness_without_listing_every_face(self, monkeypatch):
+        # a 39-vertex simplex and a point: 2^39 faces, a witness of size 2
+        def refuse(self):
+            raise AssertionError("every face listed")
+
+        monkeypatch.setattr(SimplicialComplex, "face_masks", refuse)
+        delta = cx(40, [range(39), (39,)])
+        assert delta.is_matroid() == (False, ((0, 1), (39,)))
+
     def test_link_and_deletion_of_matroid_are_matroids(self):
         hollow = cx(3, [(0, 1), (0, 2), (1, 2)])
         for v in range(3):
@@ -231,6 +265,16 @@ class TestVertexDecomposable:
 
     def test_disjoint_edges(self):
         assert not cx(4, [(0, 1), (2, 3)]).is_vertex_decomposable()
+
+    def test_answers_match_the_recursive_definition(self):
+        rng = random.Random(26)
+        complexes = complex_corpus() + [cx(6, RP2_FACETS)] + [
+            random_complex(rng, rng.randint(2, 9)) for _ in range(500)]
+        complexes += [complex_of_ideal(I) for I in corpus()]
+        answers = [(delta.is_vertex_decomposable(), vertex_decomposable(delta))
+                   for delta in complexes if not delta.is_void]
+        assert all(ours == reference for ours, reference in answers)
+        assert {ours for ours, _ in answers} == {True, False}
 
 
 class TestHomology:

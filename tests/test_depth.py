@@ -45,7 +45,8 @@ from _corpus import (
     random_monomial,
     random_squarefree_ideal,
 )
-from _reference import join, lcm_exp, localized_contains, polarize
+from _reference import (join, k_polynomial, lcm_exp, localized_contains,
+                        polarize)
 
 
 def ideal(gens, n):
@@ -471,6 +472,36 @@ class TestKnownAnswers:
                     in betti_table(join(I, J)).entries} == expected, (I, J)
 
 
+def _alternating_sum(table):
+    """The sum of (-1)^i beta_(i, alpha) x^alpha over the Betti table."""
+    out = collections.Counter()
+    for i, alpha, value in table.entries:
+        out[alpha] += (-1) ** i * value
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+class TestKPolynomial:
+    """The alternating sum of the Betti table is the K-polynomial of S/I,
+    which tests/_reference.py computes by the colon recursion, with no
+    resolution, complex or rank."""
+
+    def test_known_polynomials(self):
+        assert k_polynomial(zero_ideal(2)) == {(0, 0): 1}
+        assert k_polynomial(unit_ideal(2)) == {}
+        assert k_polynomial(ideal([(2, 1)], 2)) == {(0, 0): 1, (2, 1): -1}
+        assert k_polynomial(TRIANGLE) == {
+            (0, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): -1,
+            (1, 1, 1): 2}
+
+    @pytest.mark.parametrize("char", [0, 2])
+    def test_betti_tables_of_the_corpus_and_of_graphs(self, char):
+        ideals = [I.symbolic_power(k) for I in corpus() for k in (1, 2)]
+        ideals += [cycle(6).symbolic_power(3), path(7).symbolic_power(2),
+                   cycle(7).symbolic_power(2), cycle(8).symbolic_power(2)]
+        for J in ideals:
+            assert _alternating_sum(betti_table(J, char)) == k_polynomial(J)
+
+
 class TestDepthViaBetti:
     def test_triangle(self):
         assert depth_via_betti(TRIANGLE).depth == 1
@@ -733,8 +764,8 @@ class TestGenericPath:
                 continue
             box = tuple(a + 1 for a in pair.alpha_plus)  # alpha comes last
             cosupport = tuple(sorted(pair.cosupport))
-            (alpha, facets), = collections.deque(
-                engine._generic_complexes(I, box, cosupport), maxlen=1)
+            (alpha, facets), = collections.deque(engine._generic_complexes(
+                I, box, mask_of(cosupport)), maxlen=1)
             assert alpha == pair.alpha_plus
             built = takayama_complex(I, pair)
             faces = built.face_masks()
@@ -844,6 +875,26 @@ def _spread(u, slots, m):
     return tuple(out)
 
 
+def _short_prime_complexes(prime_masks, k, rho, cos_mask):
+    """(alpha_plus, facets) at a cosupport for the first degree of the box,
+    in scan order, of each set of short primes: its facets are those
+    _reduce_to_facets makes of the complements of the short primes, which
+    the prime-power path sorts without reducing."""
+    first = {}
+    for alpha in itertools.product(*(
+        range(1) if cos_mask >> j & 1 else range(max(r, 1))
+        for j, r in enumerate(rho)
+    )):
+        short = tuple(
+            p for p in prime_masks if not p & cos_mask
+            and sum(a for j, a in enumerate(alpha) if p >> j & 1) < k
+        )
+        first.setdefault(short, alpha)
+    free_mask = ((1 << len(rho)) - 1) & ~cos_mask
+    return [(alpha, _reduce_to_facets(free_mask & ~p for p in short))
+            for short, alpha in first.items()]
+
+
 def _assert_same_witness(ideal, char):
     assert depth_via_takayama(ideal, char).to_dict() == \
         reference_depth_via_takayama(ideal, char).to_dict()
@@ -877,10 +928,9 @@ class TestTakayamaBoxScanReference:
         assert depth_via_takayama(J).alpha_plus == (1, 0, 1, 1, 0, 0)
 
     def test_first_degree_of_each_short_prime_set(self):
-        # at every cosupport: the first degree of the box, in scan order,
-        # for each set of short primes, and nothing else; its facets are
-        # those _reduce_to_facets makes of the complements of the short
-        # primes, which the path sorts without reducing
+        # at every cosupport that passes the cover test: the first degree
+        # of the box, in scan order, for each set of short primes, and
+        # nothing else; at the others, nothing
         engine = importlib.import_module("symdepth.depth")
         for I in random.Random(44).sample(corpus(), 30):
             J = I.symbolic_power(3)
@@ -888,22 +938,10 @@ class TestTakayamaBoxScanReference:
             masks = [mask_of(p) for p in primes]
             rho = J.generator_degree_bounds()
             for cos_mask in range(1 << I.n):
-                first = {}
-                for alpha in itertools.product(*(
-                    range(1) if cos_mask >> j & 1 else range(max(r, 1))
-                    for j, r in enumerate(rho)
-                )):
-                    short = tuple(
-                        p for p in masks if not p & cos_mask
-                        and sum(a for j, a in enumerate(alpha) if p >> j & 1) < k
-                    )
-                    first.setdefault(short, alpha)
                 kept = engine._prime_power_complexes(masks, k, rho, cos_mask)
-                free_mask = ((1 << I.n) - 1) & ~cos_mask
-                assert list(kept) == [
-                    (alpha, _reduce_to_facets(free_mask & ~p for p in short))
-                    for short, alpha in first.items()
-                ]
+                assert list(kept) == (
+                    [] if _uncovered(masks, I.n, cos_mask) else
+                    _short_prime_complexes(masks, k, rho, cos_mask))
 
     def test_principal_ideals(self):
         # the generic path against the reference scan, which finds the
@@ -1098,18 +1136,20 @@ def _uncovered(prime_masks, n, cos_mask):
 
 class TestCoverTest:
     """On the prime-power path a cosupport with a vertex outside it in no
-    live prime takes no scan: every complex there is a cone or void.  The
-    corpus witnesses are compared in TestTakayamaBoxScanReference."""
+    live prime yields no complex: every complex there is a cone or void.
+    The corpus witnesses are compared in TestTakayamaBoxScanReference."""
 
     @staticmethod
     def _assert_scanned(monkeypatch, J, visited, skipped):
         engine = importlib.import_module("symdepth.depth")
         scan = engine._prime_power_complexes
-        scanned = []
+        scanned = []  # the cosupports at which the walk yields
 
         def counted(prime_masks, k, rho, cos_mask):
-            scanned.append(cos_mask)
-            return scan(prime_masks, k, rho, cos_mask)
+            kept = list(scan(prime_masks, k, rho, cos_mask))
+            if kept:
+                scanned.append(cos_mask)
+            return kept
 
         monkeypatch.setattr(engine, "_prime_power_complexes", counted)
         witness = depth_via_takayama(J)
@@ -1155,7 +1195,9 @@ class TestCoverTest:
                     if not _uncovered(masks, I.n, cos_mask):
                         continue
                     skipped += 1
-                    for _, facets in engine._prime_power_complexes(
+                    assert not list(engine._prime_power_complexes(
+                        masks, k, rho, cos_mask))
+                    for _, facets in _short_prime_complexes(
                             masks, k, rho, cos_mask):
                         assert homology_dims(facets, 0) == {}
         # of the 2^n cosupports of each power of the fixed corpus

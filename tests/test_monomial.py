@@ -16,7 +16,6 @@ from symdepth.monomial import (
     check_exponents,
     divides,
     grlex_key,
-    mul_exp,
     pow_exp,
     support,
 )

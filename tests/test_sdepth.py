@@ -165,6 +165,14 @@ class TestSdepthValues:
         assert sdepth(unit_ideal(3), "ideal").value == 3
         assert sdepth(zero_ideal(3), "quotient").value == 3
 
+    def test_ring_with_no_variables(self):
+        # the one poset point () is its own interval; the meets of its
+        # divisor rows AND no rows and are cut to the poset's points
+        result = sdepth(MonomialIdeal(0, ((),)), "ideal")
+        assert result.value == 0
+        assert result.witness.intervals == (Interval((), ()),)
+        assert sdepth(zero_ideal(0), "quotient").value == 0
+
     def test_symbolic_square_of_triangle(self):
         I2 = TRIANGLE.symbolic_power(2)
         assert sdepth(I2, "ideal").value == 2
