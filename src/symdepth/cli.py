@@ -6,8 +6,6 @@ mathematical counterexample), 2 input or usage error, 3 internal error
 exhausted.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -114,94 +112,84 @@ def _check_matroid(delta):
 def build_parser():
     """Each command's `run` is the function it calls with its options, read
     from this module's globals on each build, so a replaced one runs."""
+    options = {  # a short name -> the flag and its add_argument keywords
+        "k": ("-k", dict(type=int, required=True)),
+        "m": ("-m", dict(type=int, required=True)),
+        "kmax": ("--kmax", dict(type=int, required=True)),
+        "engine": ("--engine", dict(choices=ENGINES, default="cross_check")),
+        "quantity": ("--quantity", dict(choices=QUANTITIES, default="depth")),
+        "kind": ("--kind", dict(choices=("ideal", "quotient"),
+                                default="ideal")),
+        "samples": ("--samples", dict(type=int, default=100)),
+        "seed": ("--seed", dict(type=int, default=0)),
+        "var": ("--var", dict(type=int, default=1,
+                              help="1-based variable index")),
+        "char": ("--char", dict(
+            default=0, type=_checked(check_char, "characteristic", "2^64"),
+            help="coefficient field characteristic (0 or a prime)")),
+        "format": ("--format", dict(default="json",
+                                    choices=("json", "table"))),
+        "csv": ("--format", dict(default="json",
+                                 choices=("json", "table", "csv"))),
+        "budget": ("--budget", dict(
+            dest="node_budget", metavar="BUDGET", default=DEFAULT_NODE_BUDGET,
+            type=_checked(check_budget, "node budget"),
+            help="node limit for the Stanley depth search, "
+                 "and again for its splitting fallback")),
+    }
+    groups = {"verify": ("check", "check an inequality or identity"),
+              "complex": ("action", "simplicial complex utilities")}
+    commands = (  # (group, name, run, subject, help, options), in help order
+        (None, "depth", depth, "ideal", "depth of S/I", "engine char format"),
+        (None, "betti", _betti, "ideal", "multigraded Betti numbers of S/I",
+         "char format"),
+        (None, "sdepth", sdepth, "ideal", "Stanley depth of I or S/I",
+         "kind format budget"),
+        (None, "symbolic-power", _symbolic_power, "ideal",
+         "k-th symbolic power of I", "k format"),
+        (None, "sequence", sequence, "ideal", "quantity along symbolic powers",
+         "quantity kmax engine char csv budget"),
+        (None, "analyze", analyze_stability, "ideal",
+         "stability analysis of a sequence",
+         "quantity kmax engine char format budget"),
+        ("verify", "depsym", verify_depth_comparison, "ideal", None,
+         "m k char format"),
+        ("verify", "sdepsym", verify_sdepth_comparison, "ideal", None,
+         "m k format budget"),
+        ("verify", "power-lemma", verify_power_membership, "ideal", None,
+         "m k samples seed format"),
+        ("verify", "colon-lemma", verify_colon_identity, "ideal", None,
+         "kmax format"),
+        ("verify", "splitting-bound", _splitting_bound, "ideal", None,
+         "var format budget"),
+        (None, "matroid-report", matroid_report, "complex",
+         "per-power report for a matroid", "kmax char format budget"),
+        ("complex", "check-matroid", _check_matroid, "complex", None, "format"),
+        ("complex", "check-vd", lambda delta: {
+            "vertex_decomposable": delta.is_vertex_decomposable()},
+         "complex", None, "format"),
+        ("complex", "sr-ideal", lambda delta: formats.ideal_to_json(
+            delta.stanley_reisner_ideal()), "complex", None, "format"),
+    )
     parser = argparse.ArgumentParser(
         prog="symdepth",
         description="Exact depth, Stanley depth, and symbolic-power "
                     "stability checks for squarefree monomial ideals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, char=False, budget=False, csv=False):
-        if char:
-            p.add_argument("--char", default=0,
-                           type=_checked(check_char, "characteristic", "2^64"),
-                           help="coefficient field characteristic "
-                                "(0 or a prime)")
-        p.add_argument("--format", default="json",
-                       choices=("json", "table", "csv") if csv
-                       else ("json", "table"))
-        if budget:
-            p.add_argument("--budget", dest="node_budget", metavar="BUDGET",
-                           default=DEFAULT_NODE_BUDGET,
-                           type=_checked(check_budget, "node budget"),
-                           help="node limit for the Stanley depth search, "
-                                "and again for its splitting fallback")
-
-    def command(parent, name, run, subject="ideal", **kwargs):
-        p = parent.add_parser(name, **kwargs)
+    parents = {None: parser.add_subparsers(dest="command", required=True)}
+    for group, name, run, subject, help_, names in commands:
+        if group not in parents:  # a group is made at its first command
+            dest, group_help = groups[group]
+            sub = parents[None].add_parser(group, help=group_help)
+            parents[group] = sub.add_subparsers(dest=dest, required=True)
+        # a command with no help gets no line of its own in the group's -h
+        listed = {"help": help_} if help_ else {}
+        p = parents[group].add_parser(name, **listed)
         p.add_argument(subject)
         p.set_defaults(run=run)
-        return p
-
-    p = command(sub, "depth", depth, help="depth of S/I")
-    p.add_argument("--engine", choices=ENGINES, default="cross_check")
-    add_common(p, char=True)
-
-    add_common(command(sub, "betti", _betti,
-                       help="multigraded Betti numbers of S/I"), char=True)
-
-    p = command(sub, "sdepth", sdepth, help="Stanley depth of I or S/I")
-    p.add_argument("--kind", choices=("ideal", "quotient"), default="ideal")
-    add_common(p, budget=True)
-
-    p = command(sub, "symbolic-power", _symbolic_power,
-                help="k-th symbolic power of I")
-    p.add_argument("-k", type=int, required=True)
-    add_common(p)
-
-    for name, run, help_ in (
-            ("sequence", sequence, "quantity along symbolic powers"),
-            ("analyze", analyze_stability, "stability analysis of a sequence")):
-        p = command(sub, name, run, help=help_)
-        p.add_argument("--quantity", choices=QUANTITIES, default="depth")
-        p.add_argument("--kmax", type=int, required=True)
-        p.add_argument("--engine", choices=ENGINES, default="cross_check")
-        add_common(p, char=True, budget=True, csv=name == "sequence")
-
-    p = sub.add_parser("verify", help="check an inequality or identity")
-    vsub = p.add_subparsers(dest="check", required=True)
-    for name, run in (("depsym", verify_depth_comparison),
-                      ("sdepsym", verify_sdepth_comparison),
-                      ("power-lemma", verify_power_membership)):
-        vp = command(vsub, name, run)
-        vp.add_argument("-m", type=int, required=True)
-        vp.add_argument("-k", type=int, required=True)
-        if name == "power-lemma":
-            vp.add_argument("--samples", type=int, default=100)
-            vp.add_argument("--seed", type=int, default=0)
-        add_common(vp, char=name == "depsym", budget=name == "sdepsym")
-    vp = command(vsub, "colon-lemma", verify_colon_identity)
-    vp.add_argument("--kmax", type=int, required=True)
-    add_common(vp)
-    vp = command(vsub, "splitting-bound", _splitting_bound)
-    vp.add_argument("--var", type=int, default=1, help="1-based variable index")
-    add_common(vp, budget=True)
-
-    p = command(sub, "matroid-report", matroid_report, "complex",
-                help="per-power report for a matroid")
-    p.add_argument("--kmax", type=int, required=True)
-    add_common(p, char=True, budget=True)
-
-    p = sub.add_parser("complex", help="simplicial complex utilities")
-    csub = p.add_subparsers(dest="action", required=True)
-    for name, run in (
-            ("check-matroid", _check_matroid),
-            ("check-vd", lambda delta: {
-                "vertex_decomposable": delta.is_vertex_decomposable()}),
-            ("sr-ideal", lambda delta: formats.ideal_to_json(
-                delta.stanley_reisner_ideal()))):
-        add_common(command(csub, name, run, "complex"))
-
+        for key in names.split():
+            flag, kwargs = options[key]
+            p.add_argument(flag, **kwargs)
     return parser
 
 

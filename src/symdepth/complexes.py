@@ -9,8 +9,6 @@ facets: dominated vertices are deleted first, which keeps the homotopy
 type, so most complexes need no boundary rank at all.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 from collections import namedtuple
@@ -224,7 +222,7 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n facets")):
 
     def is_vertex_decomposable(self):
         self._require_not_void()
-        return _vertex_decomposable(self.n, self.facets)
+        return _vertex_decomposable(self.facets)
 
     # ----- homology ---------------------------------------------------------
 
@@ -259,16 +257,16 @@ def _has_exchange(small, candidates, face_set):
     return False
 
 
-_decomposable = {}  # (n, facets) -> whether the complex is vertex decomposable
+_decomposable = {}  # facets -> whether the complex is vertex decomposable
 
 
-def _vertex_decomposable(n, facets):
+def _vertex_decomposable(facets):
     """A simplex, or a complex with a shedding vertex v (its deletion keeps
     only facets of the complex) whose deletion and link are vertex
     decomposable, the vertices tried in increasing order.  Each pending
     complex is a generator on an explicit stack, not a Python call frame,
     so a long chain of deletions meets no recursion limit."""
-    stack = [((n, facets), _shedding_steps(n, facets))]
+    stack = [(facets, _shedding_steps(facets))]
     answer = None  # what the generator on top is sent next
     while stack:
         key, steps = stack[-1]
@@ -278,25 +276,30 @@ def _vertex_decomposable(n, facets):
             stack.pop()
             answer = _decomposable[key] = done.value
             continue
-        answer = _decomposable.get((n, query))
+        answer = _decomposable.get(query)
         if answer is None:
-            stack.append(((n, query), _shedding_steps(n, query)))
+            stack.append((query, _shedding_steps(query)))
     return answer
 
 
-def _shedding_steps(n, facets):
+def _shedding_steps(facets):
     """Yields the facets of each complex whose decomposability deciding
-    this one needs, is sent the answer, and returns the decision."""
-    complex_ = SimplicialComplex(n, facets)
-    if complex_.is_simplex:
+    this one needs, is sent the answer, and returns the decision.  The
+    deletion of v has the facets without v, and each F - v (F a facet
+    through v) that lies in none of them; so v sheds exactly when every
+    F - v lies in a facet without v, and the deletion is then the facets
+    without v, already in facet order."""
+    if len(facets) == 1:
         return True
-    facet_set = set(facets)
-    for v in vertices_of(complex_.vertex_mask()):
-        deletion = complex_.deletion((v,))
-        if not all(f in facet_set for f in deletion.facets):
-            continue
-        if (yield deletion.facets) and (yield complex_.link((v,)).facets):
-            return True
+    rest = functools.reduce(int.__or__, facets)  # the vertices to try
+    while rest:
+        bit = rest & -rest  # the lowest left; a pending step holds no list
+        rest ^= bit
+        kept = tuple(f for f in facets if not f & bit)
+        cut = [f & ~bit for f in facets if f & bit]
+        if all(any(c & f == c for f in kept) for c in cut):
+            if (yield kept) and (yield _reduce_to_facets(cut)):
+                return True
     return False
 
 

@@ -7,8 +7,6 @@ applies Auslander-Buchsbaum (depth = n - pd).  ``depth`` can run either
 engine or both with an agreement check.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator

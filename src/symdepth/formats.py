@@ -7,8 +7,6 @@ JSON complex: {"n": 4, "facets": [[1,2],[3,4]]} with 1-based vertices;
 "facets": [] is the void complex and [[]] the empty complex.
 """
 
-from __future__ import annotations
-
 import json
 import re
 

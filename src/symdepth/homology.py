@@ -16,8 +16,6 @@ or, over Z, divided by its gcd.  Both are invertible over the field, so
 ranks stay exact.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

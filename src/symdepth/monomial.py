@@ -12,8 +12,6 @@ the Betti scan walks only the prefixes of the same box that can still
 reach an lcm-lattice point, in the same order.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

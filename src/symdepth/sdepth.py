@@ -11,8 +11,6 @@ corner.  Where the search runs out of budget, a splitting along the
 variables may still supply a witness.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math

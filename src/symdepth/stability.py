@@ -2,8 +2,6 @@
 analysis with the square bound on the stabilization index, inequality
 verifiers, and the matroid report."""
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple

@@ -816,6 +816,29 @@ class TestParser:
         assert len(leaves) == 15
         assert all(callable(leaf.get_default("run")) for leaf in leaves)
 
+    def test_each_shared_option_reads_the_same_everywhere(self):
+        def described(action):
+            # a type built by a factory is named by its code and closure
+            cells = getattr(action.type, "__closure__", None) or ()
+            kind = (getattr(action.type, "__code__", action.type),
+                    tuple(cell.cell_contents for cell in cells))
+            return (action.option_strings, action.dest, kind, action.default,
+                    action.choices, action.required, action.metavar,
+                    action.help)
+
+        shared = ("--kmax", "-k", "-m", "--engine", "--char", "--budget",
+                  "--format", "--quantity")
+        seen = {flag: [] for flag in shared}
+        for leaf in self.leaves(build_parser()):
+            for action in leaf._actions:
+                flag = action.option_strings[:1]
+                if flag and flag[0] in seen and "csv" not in (
+                        action.choices or ()):  # sequence's own --format
+                    seen[flag[0]].append(described(action))
+        for flag, descriptions in seen.items():
+            assert len(descriptions) >= 2, flag
+            assert all(d == descriptions[0] for d in descriptions), flag
+
 
 class TestStartup:
     def test_import_skips_dataclasses_and_inspect(self):

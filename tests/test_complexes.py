@@ -276,6 +276,16 @@ class TestVertexDecomposable:
         assert all(ours == reference for ours, reference in answers)
         assert {ours for ours, _ in answers} == {True, False}
 
+    def test_long_path_without_deletion_or_link(self, monkeypatch):
+        # each deletion is read off the facets, each link reduced from F - v
+        def refuse(self, face):
+            raise AssertionError("deletion or link built")
+
+        monkeypatch.setattr(SimplicialComplex, "deletion", refuse)
+        monkeypatch.setattr(SimplicialComplex, "link", refuse)
+        path = cx(1000, [(v, v + 1) for v in range(999)])
+        assert path.is_vertex_decomposable()
+
 
 class TestHomology:
     def test_two_points(self):
