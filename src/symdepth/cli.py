@@ -152,24 +152,29 @@ def build_parser():
         (None, "analyze", analyze_stability, "ideal",
          "stability analysis of a sequence",
          "quantity kmax engine char format budget"),
-        ("verify", "depsym", verify_depth_comparison, "ideal", None,
-         "m k char format"),
-        ("verify", "sdepsym", verify_sdepth_comparison, "ideal", None,
+        ("verify", "depsym", verify_depth_comparison, "ideal",
+         "depth S/I^(m) >= depth S/I^(km+j)", "m k char format"),
+        ("verify", "sdepsym", verify_sdepth_comparison, "ideal",
+         "sdepth I^(m) >= sdepth I^(km+j), ideal and quotient",
          "m k format budget"),
-        ("verify", "power-lemma", verify_power_membership, "ideal", None,
+        ("verify", "power-lemma", verify_power_membership, "ideal",
+         "u in I^(m) iff u^(k+1) in I^(km+j), on sampled u",
          "m k samples seed format"),
-        ("verify", "colon-lemma", verify_colon_identity, "ideal", None,
-         "kmax format"),
-        ("verify", "splitting-bound", _splitting_bound, "ideal", None,
+        ("verify", "colon-lemma", verify_colon_identity, "ideal",
+         "(I^(k) : x1...xn) = I^(k-height), I unmixed", "kmax format"),
+        ("verify", "splitting-bound", _splitting_bound, "ideal",
+         "sdepth I >= min(sdepth of I without x_i, of (I : x_i))",
          "var format budget"),
         (None, "matroid-report", matroid_report, "complex",
          "per-power report for a matroid", "kmax char format budget"),
-        ("complex", "check-matroid", _check_matroid, "complex", None, "format"),
+        ("complex", "check-matroid", _check_matroid, "complex",
+         "whether the complex is a matroid", "format"),
         ("complex", "check-vd", lambda delta: {
             "vertex_decomposable": delta.is_vertex_decomposable()},
-         "complex", None, "format"),
+         "complex", "whether the complex is vertex decomposable", "format"),
         ("complex", "sr-ideal", lambda delta: formats.ideal_to_json(
-            delta.stanley_reisner_ideal()), "complex", None, "format"),
+            delta.stanley_reisner_ideal()), "complex",
+         "Stanley-Reisner ideal of the complex", "format"),
     )
     parser = argparse.ArgumentParser(
         prog="symdepth",
@@ -182,9 +187,7 @@ def build_parser():
             dest, group_help = groups[group]
             sub = parents[None].add_parser(group, help=group_help)
             parents[group] = sub.add_subparsers(dest=dest, required=True)
-        # a command with no help gets no line of its own in the group's -h
-        listed = {"help": help_} if help_ else {}
-        p = parents[group].add_parser(name, **listed)
+        p = parents[group].add_parser(name, help=help_)
         p.add_argument(subject)
         p.set_defaults(run=run)
         for key in names.split():

@@ -14,18 +14,7 @@ import itertools
 from collections import namedtuple
 
 from .homology import check_char, reduced_homology_from_faces
-from .monomial import _symbolic_power_cached
-
-
-def mask_of(vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def vertices_of(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+from .monomial import _symbolic_power_cached, mask_of, vertices_of
 
 
 def submasks(mask):

@@ -13,10 +13,10 @@ import operator
 from collections import namedtuple
 
 from .complexes import (SimplicialComplex, _facet_key, _reduce_to_facets,
-                        complex_of_ideal, homology_dims, mask_of, vertices_of)
+                        complex_of_ideal, homology_dims)
 from .homology import check_char
 from .monomial import (MonomialIdeal, check_box, check_exponents, divides,
-                       divisor_masks, support)
+                       divisor_masks, mask_of, support, vertices_of)
 
 # the depth engines, in the order the CLI's --engine help shows them
 ENGINES = ("cross_check", "takayama", "betti")

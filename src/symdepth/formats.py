@@ -38,11 +38,6 @@ class _LongInt(str):
     to refuse with the name of its field."""
 
 
-def _load_json(text):
-    return json.loads(text, parse_int=lambda digits: int(digits)
-                      if len(digits) <= MAX_DIGITS else _LongInt(digits))
-
-
 def _json_int(value, what):
     """A JSON integer, rejecting floats, strings and booleans rather than
     truncating or converting them."""
@@ -67,19 +62,27 @@ def _ring_size(value, what):
     return n
 
 
-def ideal_from_json(data):
+def _envelope(data, kind, count, key, entry):
+    """(n, data[key]) of a JSON ideal or complex, as text or decoded: n
+    read as the `count` count, data[key] a list of lists of `entry`."""
     if isinstance(data, str):
-        data = _load_json(data)
+        data = json.loads(data, parse_int=lambda digits: int(digits)
+                          if len(digits) <= MAX_DIGITS else _LongInt(digits))
     try:
-        n = _ring_size(data["n"], "variable count")
-        generators = data["generators"]
+        n = _ring_size(data["n"], f"{count} count")
+        items = data[key]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed ideal JSON: {exc}") from exc
-    if not isinstance(generators, list) or \
-            not all(isinstance(g, list) for g in generators):
-        raise ValueError("generators must be a list of exponent lists")
+        raise ValueError(f"malformed {kind} JSON: {exc}") from exc
+    if not isinstance(items, list) or \
+            not all(isinstance(item, list) for item in items):
+        raise ValueError(f"{key} must be a list of {entry} lists")
+    return n, items
+
+
+def ideal_from_json(data):
+    n, gens = _envelope(data, "ideal", "variable", "generators", "exponent")
     return MonomialIdeal.from_generators(
-        (tuple(_json_int(a, "exponent") for a in g) for g in generators), n
+        (tuple(_json_int(a, "exponent") for a in g) for g in gens), n
     )
 
 
@@ -122,16 +125,7 @@ def _parse_monomial(line, n):
 
 
 def complex_from_json(data):
-    if isinstance(data, str):
-        data = _load_json(data)
-    try:
-        n = _ring_size(data["n"], "vertex count")
-        facets = data["facets"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed complex JSON: {exc}") from exc
-    if not isinstance(facets, list) or \
-            not all(isinstance(f, list) for f in facets):
-        raise ValueError("facets must be a list of vertex lists")
+    n, facets = _envelope(data, "complex", "vertex", "facets", "vertex")
     converted = []
     for facet in facets:
         vertices = [_json_int(v, "vertex") - 1 for v in facet]

@@ -68,6 +68,23 @@ def support(u):
     return frozenset(i for i, a in enumerate(u) if a > 0)
 
 
+def mask_of(vertices):
+    """The bitmask with bit v set for each index v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def vertices_of(mask):
+    """The indices of the set bits of mask, in increasing order."""
+    vertices = []
+    while mask:
+        vertices.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(vertices)
+
+
 def grlex_key(u):
     return (sum(u), u)
 
@@ -122,11 +139,12 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
         """Build the canonical minimal generating set (spec: normalize)."""
         gens = [check_exponents(g, n) for g in generators]
         gens = sorted(set(gens), key=grlex_key)
-        minimal = []
+        minimal = []  # (support mask, generator); h | g needs supp h in supp g
         for g in gens:
-            if not any(divides(h, g) for h in minimal):
-                minimal.append(g)
-        return cls(n, tuple(minimal))
+            mask = mask_of(i for i, a in enumerate(g) if a)
+            if not any(divides(h, g) for m, h in minimal if m & mask == m):
+                minimal.append((mask, g))
+        return cls(n, tuple(g for _, g in minimal))
 
     # ----- basic predicates -------------------------------------------------
 
@@ -271,14 +289,14 @@ def _symbolic_power_cached(n, primes, k):
     gens = {(0,) * n: ()}  # generator of J_j -> its sums over P_1, ..., P_j
     for prime in primes:
         variables = sorted(prime)
-        mask = sum(1 << i for i in variables)
+        mask = mask_of(variables)
         candidates = {}
         for g, sums in gens.items():
             short = k - sum(map(g.__getitem__, variables))
             if short <= 0:
                 candidates[g] = sums + (k - short,)
                 continue
-            need = sum(1 << i for i, a in enumerate(g) if a) & ~mask
+            need = mask_of(i for i, a in enumerate(g) if a) & ~mask
             for combo in itertools.combinations_with_replacement(variables, short):
                 u = list(g)
                 raised = list(sums)

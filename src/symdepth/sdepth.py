@@ -18,7 +18,7 @@ import operator
 from collections import namedtuple
 
 from .monomial import (BudgetExceeded, MonomialIdeal, box_divisors,
-                       divisor_masks, grlex_key)
+                       divisor_masks, grlex_key, mask_of, vertices_of)
 
 INFINITY = math.inf
 
@@ -132,13 +132,6 @@ class _Budget:
             )
 
 
-def _bits(mask):
-    """The indices of the set bits of mask, in increasing order."""
-    while mask:
-        yield (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-
-
 def _minimal_points(mask, up):
     """The minimal points of the set mask, in increasing index order.
     up[a] is the set of points >= a; every point below a has a lower
@@ -175,7 +168,7 @@ def sdepth_at_least(poset, s, budget=None):
     everything = (1 << len(points)) - 1
     up = [_meet(at_least, p) & everything for p in points]
     down = [_meet(at_most, p) & everything for p in points]
-    high = sum(1 << i for i, b in enumerate(points) if _rho(b, g) >= s)
+    high = mask_of(i for i, b in enumerate(points) if _rho(b, g) >= s)
     failed = set()
     candidates = {}
 
@@ -184,7 +177,7 @@ def sdepth_at_least(poset, s, budget=None):
         poset (it holds as many points as its box), larger tops first; the
         stable sort keeps index order on ties."""
         tops = []
-        for b in _bits(up[a] & high):
+        for b in vertices_of(up[a] & high):
             interval = up[a] & down[b]
             if interval.bit_count() == math.prod(
                     y - x + 1 for x, y in zip(points[a], points[b])):

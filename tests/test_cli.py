@@ -783,6 +783,32 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
+    # Each "... bug" guard of src, reached by a stub that makes the step
+    # before it answer wrongly: the run is an internal error (exit 3), never
+    # a failed verification (exit 1), and prints no result.
+    @pytest.mark.parametrize("module, name, stub, argv, text, message", [
+        ("complexes", "_bases_exchange", lambda facets: False,
+         ["complex", "check-matroid"], HOLLOW_TRIANGLE_JSON,
+         "no exchange-axiom violation; basis exchange bug"),
+        ("depth", "_homology_dims", lambda facets, char: {},
+         ["depth", "--engine", "takayama"], TRIANGLE_JSON,
+         "no nonvanishing cohomology found; search box bug"),
+        ("sdepth", "sdepth_at_least", lambda poset, s, budget=None: None,
+         ["sdepth"], TRIANGLE_JSON,
+         "no interval partition at level 0; search bug"),
+    ], ids=["check-matroid", "depth-takayama", "sdepth"])
+    def test_bug_guard_exits_3(self, tmp_path, capsys, monkeypatch, module,
+                               name, stub, argv, text, message):
+        # the module, not the function that `symdepth.depth` names
+        monkeypatch.setattr(importlib.import_module(f"symdepth.{module}"),
+                            name, stub)
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run(capsys, [*argv, str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: RuntimeError: {message}\n"
+
     def test_engine_disagreement_exit_code(self, triangle_file, capsys,
                                            monkeypatch):
         # the module, not the function that `symdepth.depth` names

@@ -65,6 +65,40 @@ class TestNormalize:
         with pytest.raises(ValueError, match="nonnegative integers"):
             check_exponents((0, False), 2)
 
+    def test_random_inputs_keep_the_pairwise_minimal_set(self):
+        # the minimal generators are those no other distinct generator
+        # divides, in grlex order, whichever pairs the reduction tests
+        rng = random.Random(33)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            gens = {random_monomial(rng, n, rng.randint(0, 3))
+                    for _ in range(rng.randint(0, 12))}
+            minimal = sorted((g for g in gens if not any(
+                h != g and divides(h, g) for h in gens)), key=grlex_key)
+            assert ideal(gens, n).gens == tuple(minimal)
+
+    def test_divisibility_tested_only_on_nested_supports(self, monkeypatch):
+        # h divides g only if supp h lies in supp g, so the variables of
+        # the maximal ideal, with pairwise disjoint supports, are kept
+        # without one divisibility test; testing every pair would take
+        # 300 * 299 / 2 = 44,850
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return divides(u, v)
+
+        monkeypatch.setattr(importlib.import_module("symdepth.monomial"),
+                            "divides", counted)
+        n = 300
+        variables = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert ideal(variables, n).gens == tuple(sorted(variables, key=grlex_key))
+        assert calls == []
+        # a candidate whose support holds a kept one's is still tested
+        assert ideal([(1, 1, 0), (1, 0, 0), (0, 1, 1)], 3).gens == (
+            (1, 0, 0), (0, 1, 1))
+        assert calls == [((1, 0, 0), (1, 1, 0))]
+
 
 class TestContains:
     def test_generator_divides(self):
