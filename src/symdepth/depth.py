@@ -146,45 +146,43 @@ def _prime_power_complexes(prime_masks, k, rho, cos_mask):
 
     The complex at alpha is the union of the simplexes on free vertices
     avoiding each prime that misses the cosupport and whose exponent sum
-    falls short of k, so it depends only on the deficits max(k - sum, 0).
-    A pass over the coordinates keeps, for each vector of deficits, the
-    lex-first prefix that reaches it: a later prefix with the same deficits
-    has the same completions, each after its twin's.  Prefixes are
-    extended in lex order and dicts keep insertion order, so every kept
-    alpha is the first of the box with its short primes, and they come out
-    in box order.  Once alpha_j covers the largest deficit of a prime
-    holding j, a larger alpha_j reaches the same deficits, so it is not
-    tried.
+    falls short of k.  A pass over the coordinates keeps, for each state,
+    the lex-first prefix that reaches it.  The state is the vector of the
+    deficits max(k - sum, 0), each capped at 1 from the last vertex of its
+    prime on: no later coordinate moves that sum, so only whether it falls
+    short still matters.  A later prefix with the same state has the same
+    completions, with the same short primes, each after its twin's.
+    Prefixes are extended in lex order and dicts keep insertion order, so
+    every kept alpha is the first of the box with its state, in box order,
+    and at the end the states are the sets of short primes.  Once alpha_j
+    covers the largest deficit of a prime holding j, a larger alpha_j
+    reaches the same deficits, so it is not tried.
     """
     live = [p for p in prime_masks if not p & cos_mask]
     free_mask = ((1 << len(rho)) - 1) & ~cos_mask
     if free_mask & ~functools.reduce(operator.or_, live, 0):
         return  # the cover test
-    states = {(k,) * len(live): ()}  # deficits -> first prefix reaching them
+    states = {(k,) * len(live): ()}  # state -> first prefix reaching it
     for j, top in enumerate(rho):
         hits = [t for t, p in enumerate(live) if p >> j & 1]
         if not hits:  # alpha_j moves no live sum: 0 comes first
             states = {d: alpha + (0,) for d, alpha in states.items()}
             continue
+        caps = [(t, 1 if live[t] >> j == 1 else k) for t in hits]  # j ends t
         grown = {}
         for deficits, alpha in states.items():
-            grown.setdefault(deficits, alpha + (0,))
-            most = max(map(deficits.__getitem__, hits))
-            for a in range(1, min(top, most + 1)):
+            for a in range(min(top, max(map(deficits.__getitem__, hits)) + 1)):
                 lowered = list(deficits)
-                for t in hits:
-                    d = deficits[t]
-                    lowered[t] = d - a if d > a else 0
+                for t, cap in caps:
+                    d = deficits[t] - a
+                    lowered[t] = cap if d > cap else d if d > 0 else 0
                 grown.setdefault(tuple(lowered), alpha + (a,))
         states = grown
-    first = {}  # short primes -> first alpha
-    for deficits, alpha in states.items():
-        first.setdefault(tuple(p for p, d in zip(live, deficits) if d), alpha)
     # live primes are distinct minimal primes inside the free vertices, so
     # their complements there are distinct and incomparable: the facets
-    for short, alpha in first.items():
-        yield alpha, tuple(sorted((free_mask & ~p for p in short),
-                                  key=_facet_key))
+    for short, alpha in states.items():
+        yield alpha, tuple(sorted((free_mask & ~p for p, d in zip(live, short)
+                                   if d), key=_facet_key))
 
 
 def _disconnected(facets):

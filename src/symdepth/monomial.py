@@ -244,7 +244,7 @@ class MonomialIdeal(namedtuple("MonomialIdeal", "n gens")):
         if self.is_zero or self.is_unit:
             return None
         if self.is_squarefree:  # I is the intersection of its primes
-            return self.minimal_primes(), 1
+            return _minimal_primes_cached(self.n, self.gens), 1
         radical = [tuple(min(a, 1) for a in g) for g in self.gens]
         primes = MonomialIdeal.from_generators(radical, self.n).minimal_primes()
         k = min(sum(g[i] for i in primes[0]) for g in self.gens)

@@ -4,8 +4,11 @@ face counts of a complex, the first exchange-axiom violation over the
 list of all faces, vertex decomposability by recursion, the text and JSON
 writers whose readers the library has, polarization, the sum of two
 ideals in disjoint variables, the characteristic poset over a box larger
-than the generators' with its Stanley depth, and the K-polynomial by the
-colon recursion.  Each is the plain definition, not a fast path."""
+than the generators' with its Stanley depth, the K-polynomial by the
+colon recursion, and the prime-power Takayama walk keyed on whole deficit
+vectors.  Each is the plain definition, not a fast path, except the walk:
+it is the earlier fast path, with a second pass for the sets of short
+primes, whose stream of complexes the library's walk must reproduce."""
 
 import functools
 import itertools
@@ -13,7 +16,7 @@ import operator
 from collections import Counter
 
 from symdepth import CharacteristicPoset, MonomialIdeal, sdepth_at_least
-from symdepth.complexes import vertices_of
+from symdepth.complexes import _facet_key, vertices_of
 from symdepth.monomial import box_divisors, check_exponents, grlex_key
 
 
@@ -169,3 +172,52 @@ def k_polynomial(ideal):
         return {a: c for a, c in out.items() if c}
 
     return k(minimal(ideal.gens))
+
+
+def prime_power_complexes(prime_masks, k, rho, cos_mask):
+    """(alpha_plus, facets) at the cosupport bitmask G when I is an
+    intersection of prime powers, one pair per distinct set of short
+    primes, in box order; nothing when a vertex outside G lies in no live
+    prime (one missing G), as every complex there is a cone or void.
+
+    The complex at alpha is the union of the simplexes on free vertices
+    avoiding each prime that misses the cosupport and whose exponent sum
+    falls short of k, so it depends only on the deficits max(k - sum, 0).
+    A pass over the coordinates keeps, for each vector of deficits, the
+    lex-first prefix that reaches it: a later prefix with the same deficits
+    has the same completions, each after its twin's.  Prefixes are
+    extended in lex order and dicts keep insertion order, so every kept
+    alpha is the first of the box with its short primes, and they come out
+    in box order.  Once alpha_j covers the largest deficit of a prime
+    holding j, a larger alpha_j reaches the same deficits, so it is not
+    tried.
+    """
+    live = [p for p in prime_masks if not p & cos_mask]
+    free_mask = ((1 << len(rho)) - 1) & ~cos_mask
+    if free_mask & ~functools.reduce(operator.or_, live, 0):
+        return  # the cover test
+    states = {(k,) * len(live): ()}  # deficits -> first prefix reaching them
+    for j, top in enumerate(rho):
+        hits = [t for t, p in enumerate(live) if p >> j & 1]
+        if not hits:  # alpha_j moves no live sum: 0 comes first
+            states = {d: alpha + (0,) for d, alpha in states.items()}
+            continue
+        grown = {}
+        for deficits, alpha in states.items():
+            grown.setdefault(deficits, alpha + (0,))
+            most = max(map(deficits.__getitem__, hits))
+            for a in range(1, min(top, most + 1)):
+                lowered = list(deficits)
+                for t in hits:
+                    d = deficits[t]
+                    lowered[t] = d - a if d > a else 0
+                grown.setdefault(tuple(lowered), alpha + (a,))
+        states = grown
+    first = {}  # short primes -> first alpha
+    for deficits, alpha in states.items():
+        first.setdefault(tuple(p for p, d in zip(live, deficits) if d), alpha)
+    # live primes are distinct minimal primes inside the free vertices, so
+    # their complements there are distinct and incomparable: the facets
+    for short, alpha in first.items():
+        yield alpha, tuple(sorted((free_mask & ~p for p in short),
+                                  key=_facet_key))

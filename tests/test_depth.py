@@ -46,7 +46,7 @@ from _corpus import (
     random_squarefree_ideal,
 )
 from _reference import (join, k_polynomial, lcm_exp, localized_contains,
-                        polarize)
+                        polarize, prime_power_complexes)
 
 
 def ideal(gens, n):
@@ -1047,6 +1047,53 @@ class TestTakayamaBoxScanReference:
         assert witness.depth == 38
         assert witness.cosupport == tuple(range(3, 40))
         assert cosupports == [mask_of(range(3, 40))]
+
+
+class TestCappedWalk:
+    """The prime-power walk caps each deficit at 1 from the last vertex of
+    its prime on, and keeps no second pass for the sets of short primes.
+    Its stream is that of the walk keyed on whole deficit vectors
+    (_reference.prime_power_complexes) at every cosupport, and so are its
+    witnesses at powers past those the box scan reaches."""
+
+    @staticmethod
+    def _slice():
+        yield from ((I, k) for I in corpus() for k in (2, 3, 4))
+        for graph, sizes in ((cycle, range(4, 9)), (path, range(4, 8))):
+            yield from ((graph(n), k) for n in sizes for k in (2, 3, 4))
+        for graph in (cycle, path):
+            yield from ((graph(n), k) for n in range(4, 7) for k in (5, 6))
+        yield from ((cycle(n), 2) for n in (9, 10))
+
+    def test_stream_equals_the_reference_walk(self):
+        engine = importlib.import_module("symdepth.depth")
+        streams = 0
+        for I, k in self._slice():
+            masks = [mask_of(p) for p in I.minimal_primes()]
+            rho = tuple(k * any(p >> j & 1 for p in masks)
+                        for j in range(I.n))
+            for cos_mask in range(1 << I.n):
+                walked = engine._prime_power_complexes(masks, k, rho, cos_mask)
+                assert list(walked) == list(prime_power_complexes(
+                    masks, k, rho, cos_mask)), (I.gens, k, cos_mask)
+                streams += 1
+        assert streams == 13240  # over 641 (ideal, k) pairs
+
+    @pytest.mark.parametrize("graph, n, values", [
+        (path, 7, (3, 2, 2, 2, 1, 1, 1, 1)), (cycle, 6, (2, 2, 2, 1, 1, 1)),
+    ])
+    def test_witnesses_at_high_powers(self, monkeypatch, graph, n, values):
+        engine = importlib.import_module("symdepth.depth")
+        I, powers = graph(n), range(1, len(values) + 1)
+        walked = [engine._symbolic_depth(I, k, "takayama", 0) for k in powers]
+        assert tuple(w.depth for w in walked) == values
+        assert [w.depth for w in walked[:3]] == [
+            engine._symbolic_depth(I, k, "betti", 0).depth for k in (1, 2, 3)]
+        monkeypatch.setattr(engine, "_prime_power_complexes",
+                            prime_power_complexes)
+        # every field: depth, alpha_plus, cosupport, homology_index
+        assert walked == [engine._symbolic_depth(I, k, "takayama", 0)
+                          for k in powers]
 
 
 class TestSymbolicDepth:
